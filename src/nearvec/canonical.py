@@ -29,6 +29,7 @@ from .nvspace import (
     SpaceSpec,
     coproduct,
     decomposition_classes,
+    first_representative_classes,
 )
 from .report import Report
 
@@ -239,9 +240,8 @@ def is_multiplicative(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND):
     for u in sorted(tables.quasi_kernel()):
         if u == tables.zero:
             continue
-        plus = tables.plus_table(u)
-        key = tuple(plus[a][b] for a in range(tables.q) for b in range(tables.q))
-        cert = lookup.get(key) if all(x is not None for x in key) else None
+        key = tuple(tables.anchored_scalars(u))
+        cert = None if None in key else lookup.get(key)
         certificates[tables.to_sparse(u)] = cert
         if cert is None:
             ok = False
@@ -322,14 +322,9 @@ def product_hypotheses(base) -> Report:
     # finite noncommutative base: count addition classes among all
     # automorphisms and read the dimension off the subfield sizes
     autos = enumerate_mult_autos(base)
-    classes = []
-    for auto in autos:
-        for rep in classes:
-            if same_addition(auto, rep[0], base):
-                rep.append(auto)
-                break
-        else:
-            classes.append([auto])
+    classes = first_representative_classes(
+        autos, lambda f, g: same_addition(f, g, base)
+    )
     fd = distributive_elements(base)
     order = base.order()
     dim = 0

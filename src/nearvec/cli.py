@@ -32,9 +32,10 @@ from .complexify import (
 from .errors import NearVecError
 from .galois import is_prime, unit_classification
 from .mult_auto import enumerate_mult_autos, mult_properties_check, same_addition
-from .nearfield import scalar_group_axiom_check
+from .nearfield import distributive_elements, scalar_group_axiom_check
 from .nvspace import (
     decomposition_classes,
+    first_representative_classes,
     materialize_quasi_kernel,
     nvs_axiom_check,
     quasi_kernel_bruteforce,
@@ -42,14 +43,8 @@ from .nvspace import (
     regular_decomposition,
     same_addition_classes,
 )
-from .serialize import (
-    auto_to_json,
-    base_from_json,
-    base_to_json,
-    spec_from_json,
-    spec_to_json,
-    vector_to_json,
-)
+from .report import Report
+from .serialize import base_from_json, spec_from_json, vector_to_json
 
 MATERIALIZE_PRINT_CAP = 512
 
@@ -88,20 +83,15 @@ def cmd_classify(args):
 def cmd_autos(args):
     base = base_from_json(_load_json_arg(args.base), tolerance=args.tol)
     autos = enumerate_mult_autos(base)
-    classes = []
-    for auto in autos:
-        for cls in classes:
-            if same_addition(auto, cls[0], base):
-                cls.append(auto)
-                break
-        else:
-            classes.append([auto])
+    classes = first_representative_classes(
+        autos, lambda f, g: same_addition(f, g, base)
+    )
     properties_ok = all(mult_properties_check(a).passed for a in autos)
     out = {
-        "base": base_to_json(base),
+        "base": base.describe(),
         "count": len(autos),
-        "automorphisms": [auto_to_json(a) for a in autos],
-        "same_addition_classes": [[auto_to_json(a) for a in c] for c in classes],
+        "automorphisms": [a.describe() for a in autos],
+        "same_addition_classes": [[a.describe() for a in c] for c in classes],
         "induced_additions": len(classes),
         "properties_pass": properties_ok,
     }
@@ -115,7 +105,7 @@ def cmd_space(args):
     action = args.action
     if action == "qk":
         desc = quasi_kernel_closed(spec)
-        out = {"spec": spec_to_json(spec), "quasi_kernel": desc.to_json(base)}
+        out = {"spec": spec.describe(), "quasi_kernel": desc.to_json(base)}
         if base.is_finite:
             members = sorted(
                 materialize_quasi_kernel(spec, desc, bound=args.bound),
@@ -129,26 +119,26 @@ def cmd_space(args):
     if action == "decompose":
         blocks = regular_decomposition(spec)
         out = {
-            "spec": spec_to_json(spec),
+            "spec": spec.describe(),
             "same_addition_classes": same_addition_classes(spec).to_json(),
             "decomposition_classes": decomposition_classes(spec).to_json(),
-            "blocks": [spec_to_json(sub) for sub, _ in blocks],
+            "blocks": [sub.describe() for sub, _ in blocks],
         }
         _emit(out, args.format)
         return 0
     if action == "axioms":
         report = nvs_axiom_check(spec, bound=args.bound)
-        _emit({"spec": spec_to_json(spec), "report": report.to_json()}, args.format)
+        _emit({"spec": spec.describe(), "report": report.to_json()}, args.format)
         return 0 if report.passed else 1
     if action == "multiplicative":
         ok, certs = is_multiplicative(spec, bound=args.bound)
         out = {
-            "spec": spec_to_json(spec),
+            "spec": spec.describe(),
             "multiplicative": ok,
             "certificates": [
                 {
                     "vector": vector_to_json(base, v),
-                    "automorphism": None if a is None else auto_to_json(a),
+                    "automorphism": None if a is None else a.describe(),
                 }
                 for v, a in sorted(certs.items(), key=lambda kv: kv[0].support)
             ]
@@ -163,7 +153,7 @@ def cmd_space(args):
         closed = materialize_quasi_kernel(spec, bound=args.bound)
         identical = brute == closed
         out = {
-            "spec": spec_to_json(spec),
+            "spec": spec.describe(),
             "identical": identical,
             "count": len(brute),
         }
@@ -199,7 +189,7 @@ def cmd_complexify(args):
     ok = all(c["passed"] for c in checks)
     out = {
         "complexification": cspec.to_json(),
-        "spec": spec_to_json(spec),
+        "spec": spec.describe(),
         "checks": checks,
     }
     _emit(out, args.format)
@@ -208,8 +198,6 @@ def cmd_complexify(args):
 
 def _sampled_scalar_laws(base):
     """Grid-sampled monoid and group laws for the non-enumerable bases."""
-    from .report import Report
-
     points = list(base.sample_points())[:10]
     violations = []
     for x in points:
@@ -234,11 +222,9 @@ def _sampled_scalar_laws(base):
 
 def cmd_check_base(args):
     base = base_from_json(_load_json_arg(args.base), tolerance=args.tol)
-    out = {"base": base_to_json(base)}
+    out = {"base": base.describe()}
     if base.is_finite:
         gate = scalar_group_axiom_check(base)
-        from .nearfield import distributive_elements
-
         out["distributive_size"] = len(distributive_elements(base))
     else:
         gate = _sampled_scalar_laws(base)

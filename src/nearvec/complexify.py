@@ -20,7 +20,7 @@ import random
 from .errors import NearVecError
 from .mult_auto import ComplexEps, RealPower
 from .nearfield import COMPLEXES, REALS, ComplexField, RealField, induced_add
-from .nvspace import SpaceSpec, exponent_space, in_quasi_kernel
+from .nvspace import SpaceSpec, _anchor_scalar, exponent_space, in_quasi_kernel
 from .report import Report
 
 
@@ -211,12 +211,9 @@ def axis_quasi_kernel_report(exponents, base: RealField = None) -> Report:
             violations.append({"kind": "multi-support-accepted", "vector": v.entries})
         else:
             a, b = witness
-            t = v.support[0]
             w = spec.add(spec.scale(a, v), spec.scale(b, v))
             gammas = {
-                label: spec.rho[label]
-                .inverse()
-                .apply(w.get(label) / v.get(label))
+                label: _anchor_scalar(spec, v.restrict([label]), w.restrict([label]))
                 for label in v.support
                 if w.get(label) is not None
             }

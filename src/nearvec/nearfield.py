@@ -23,7 +23,7 @@ import cmath
 import math
 
 from .errors import BaseMismatchError, BoundExceededError, UnsupportedBaseError
-from .galois import GFTable, gf_build
+from .galois import GFTable, gf_build, same_addition_exponents
 from .report import Report
 
 DEFAULT_TOLERANCE = 1e-9
@@ -377,8 +377,6 @@ def is_nearfield_automorphism(base: BaseStructure, f) -> bool:
     from .mult_auto import FinitePower
 
     if isinstance(f, FinitePower) and base.kind == "gf":
-        from .galois import same_addition_exponents
-
         return same_addition_exponents(f.alpha, 1, base.table.p, base.table.n)
     els = base.elements()
     if len(els) > EXHAUSTIVE_PAIR_BOUND:

@@ -18,7 +18,8 @@ Labels sort lexicographically and partition representatives are the
 smallest labels, so every partition, report and materialized set is
 deterministic.  Exhaustive sweeps run over integer-indexed operation
 tables built once per spec; bounds are explicit and exceeding one raises
-instead of truncating.
+instead of truncating.  Membership of a single vector (``in_quasi_kernel``)
+checks the q^2 scalar pairs of that vector alone and needs no bound.
 """
 
 import itertools
@@ -30,7 +31,15 @@ from .errors import (
     NearVecError,
     UnsupportedBaseError,
 )
-from .mult_auto import InnerAuto, compose, identity_auto, same_addition
+from .mult_auto import (
+    ComplexEps,
+    FinitePower,
+    InnerAuto,
+    RealPower,
+    compose,
+    identity_auto,
+    same_addition,
+)
 from .nearfield import BaseStructure, distributive_elements, induced_add, is_nearfield_automorphism
 from .report import Report
 
@@ -276,8 +285,6 @@ def exponent_space(base, sigma_exponents, rho_exponents=None, auto_factory=None)
     exponent into an automorphism; by default the power-map family of the
     base is used.
     """
-    from .mult_auto import ComplexEps, FinitePower, RealPower
-
     if auto_factory is None:
         if base.kind == "gf":
             auto_factory = FinitePower
@@ -361,75 +368,57 @@ class _FiniteTables:
             [(self.labels[i], self.elements[t[i]]) for i in range(self.d) if t[i]]
         )
 
-    def from_sparse(self, v: SparseVector):
-        out = []
-        for i, label in enumerate(self.labels):
-            got = v.get(label)
-            out.append(0 if got is None else self.idx[got])
-        return tuple(out)
-
-    def in_quasi_kernel(self, v):
-        """Direct definition: every a.v + b.v must be some g.v.  Returns
-        (True, None) or (False, (a_index, b_index))."""
-        if v == self.zero:
-            return True, None
-        support = [i for i in range(self.d) if v[i]]
-        t = support[0]
-        vadd, vscale = self.vadd, self.vscale
-        for a in range(self.q):
-            av = vscale(a, v)
-            for b in range(self.q):
-                w = vadd(av, vscale(b, v))
-                g = self.solve_t[t][v[t]][w[t]]
-                if g is None:
-                    return False, (a, b)
-                if any(self.act_t[i][g][v[i]] != w[i] for i in support[1:]):
-                    return False, (a, b)
-        return True, None
-
-    def plus_table(self, u):
-        """The addition anchored at u as a q*q index table; None entries
-        mark pairs with no consistent scalar (u outside the quasi-kernel)."""
+    def anchored_scalars(self, u):
+        """For each scalar pair (a, b) in index order, the g with
+        a.u + b.u = g.u, or None where no g fits every coordinate."""
         support = [i for i in range(self.d) if u[i]]
         if not support:
             raise InvalidAnchorError("anchor vector is zero")
         t = support[0]
-        out = [[None] * self.q for _ in range(self.q)]
+        solve, act = self.solve_t[t][u[t]], self.act_t
+        vadd, vscale = self.vadd, self.vscale
         for a in range(self.q):
-            au = self.vscale(a, u)
+            au = vscale(a, u)
             for b in range(self.q):
-                w = self.vadd(au, self.vscale(b, u))
-                g = self.solve_t[t][u[t]][w[t]]
-                if g is not None and all(
-                    self.act_t[i][g][u[i]] == w[i] for i in support[1:]
-                ):
-                    out[a][b] = g
-        return out
+                w = vadd(au, vscale(b, u))
+                g = solve[w[t]]
+                if g is not None and any(act[i][g][u[i]] != w[i] for i in support[1:]):
+                    g = None
+                yield g
 
     def quasi_kernel(self):
-        return {v for v in self.all_int_vectors() if self.in_quasi_kernel(v)[0]}
+        return {
+            v
+            for v in self.all_int_vectors()
+            if v == self.zero or None not in self.anchored_scalars(v)
+        }
 
 
 # -- partitions of the label set --
 
 
-def _group_labels(spec: SpaceSpec, related) -> Partition:
-    classes = []  # list of (representative_label, members)
-    for label in spec.index:
-        for rep, members in classes:
-            if related(label, rep):
-                members.append(label)
+def first_representative_classes(items, related) -> list[list]:
+    """Group items in order: each joins the first class whose first member
+    it is related to, or opens a new class."""
+    classes = []
+    for item in items:
+        for members in classes:
+            if related(item, members[0]):
+                members.append(item)
                 break
         else:
-            classes.append((label, [label]))
-    return Partition([members for _, members in classes])
+            classes.append([item])
+    return classes
 
 
 def same_addition_classes(spec: SpaceSpec) -> Partition:
     """Labels grouped by whether their combined twists induce the same
     addition on the base."""
-    return _group_labels(
-        spec, lambda i, j: same_addition(spec.theta(i), spec.theta(j), spec.base)
+    return Partition(
+        first_representative_classes(
+            spec.index,
+            lambda i, j: same_addition(spec.theta(i), spec.theta(j), spec.base),
+        )
     )
 
 
@@ -451,7 +440,7 @@ def decomposition_classes(spec: SpaceSpec) -> Partition:
                 return True
         return False
 
-    return _group_labels(spec, related)
+    return Partition(first_representative_classes(spec.index, related))
 
 
 class QKDescription:
@@ -538,40 +527,40 @@ def quasi_kernel_bruteforce(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND):
     return frozenset(tables.to_sparse(v) for v in tables.quasi_kernel())
 
 
+def _anchor_scalar(spec: SpaceSpec, u: SparseVector, w: SparseVector):
+    """The scalar g with g.u = w, solved on the smallest support label of
+    the nonzero u and verified on the rest; None when no g fits."""
+    base = spec.base
+    t = u.support[0]
+    wt = spec.component(w, t)
+    if base.is_zero(wt):
+        gamma = base.zero
+    else:
+        gamma = spec.rho[t].inverse().apply(base.mul(wt, base.inv(u.get(t))))
+    return gamma if spec.vectors_equal(spec.scale(gamma, u), w) else None
+
+
 def in_quasi_kernel(spec: SpaceSpec, v: SparseVector):
     """Membership test; returns (bool, witness) where the witness is the
     first scalar pair (a, b) with a.v + b.v not a multiple of v.
 
-    Finite bases check every scalar pair.  The reals and complexes check a
-    deterministic grid of pairs, so True is sample-supported while False
-    carries an exact witness.
+    Finite bases check all q^2 scalar pairs of this one vector, so no bound
+    applies.  The reals and complexes check a deterministic grid of pairs,
+    so True is sample-supported while False carries an exact witness.
     """
     if v.is_zero():
         return True, None
-    if spec.base.is_finite:
-        tables = spec._int_tables()
-        ok, witness = tables.in_quasi_kernel(tables.from_sparse(v))
-        if ok:
-            return True, None
-        a, b = witness
-        return False, (tables.elements[a], tables.elements[b])
-
     base = spec.base
-    values = (
-        REAL_MEMBERSHIP_VALUES if base.kind == "real" else COMPLEX_MEMBERSHIP_VALUES
-    )
-    support = v.support
-    t = support[0]
+    if base.is_finite:
+        values = base.elements()
+    elif base.kind == "real":
+        values = REAL_MEMBERSHIP_VALUES
+    else:
+        values = COMPLEX_MEMBERSHIP_VALUES
     for a in values:
         av = spec.scale(a, v)
         for b in values:
-            w = spec.add(av, spec.scale(b, v))
-            wt = spec.component(w, t)
-            if base.is_zero(wt):
-                gamma = base.zero
-            else:
-                gamma = spec.rho[t].inverse().apply(base.mul(wt, base.inv(v.get(t))))
-            if not spec.vectors_equal(spec.scale(gamma, v), w):
+            if _anchor_scalar(spec, v, spec.add(av, spec.scale(b, v))) is None:
                 return False, (a, b)
     return True, None
 
@@ -584,16 +573,9 @@ def anchored_add(spec: SpaceSpec, u: SparseVector, a, b):
     """
     if u.is_zero():
         raise InvalidAnchorError("anchor vector is zero")
-    base = spec.base
-    a, b = base.check(a), base.check(b)
-    w = spec.add(spec.scale(a, u), spec.scale(b, u))
-    t = u.support[0]
-    wt = spec.component(w, t)
-    if base.is_zero(wt):
-        gamma = base.zero
-    else:
-        gamma = spec.rho[t].inverse().apply(base.mul(wt, base.inv(u.get(t))))
-    if not spec.vectors_equal(spec.scale(gamma, u), w):
+    a, b = spec.base.check(a), spec.base.check(b)
+    gamma = _anchor_scalar(spec, u, spec.add(spec.scale(a, u), spec.scale(b, u)))
+    if gamma is None:
         raise InvalidAnchorError(
             f"no consistent scalar for anchor {u!r} at pair ({a!r}, {b!r})"
         )
@@ -604,21 +586,20 @@ def compatible(spec: SpaceSpec, u: SparseVector, v: SparseVector, qk=None) -> bo
     """Whether some u + lambda.v stays in the quasi-kernel; finite bases.
 
     Both vectors must be nonzero members of the quasi-kernel.  ``qk`` may
-    pass a precomputed membership set to speed up the search.
+    pass a precomputed membership set, used for every membership test.
     """
     if not spec.base.is_finite:
         raise UnsupportedBaseError("compatibility search needs a finite base")
+    if qk is None:
+        member = lambda w: in_quasi_kernel(spec, w)[0]  # noqa: E731
+    else:
+        member = qk.__contains__
     for w, name in ((u, "u"), (v, "v")):
-        if w.is_zero() or not in_quasi_kernel(spec, w)[0]:
+        if w.is_zero() or not member(w):
             raise InvalidAnchorError(f"{name} is not a nonzero quasi-kernel vector")
-    for lam in spec.base.nonzero_elements():
-        w = spec.add(u, spec.scale(lam, v))
-        if qk is not None:
-            if w in qk:
-                return True
-        elif in_quasi_kernel(spec, w)[0]:
-            return True
-    return False
+    return any(
+        member(spec.add(u, spec.scale(lam, v))) for lam in spec.base.nonzero_elements()
+    )
 
 
 class Injection:

@@ -28,16 +28,46 @@ from .nearfield import (
 from .nvspace import SparseVector, SpaceSpec
 
 
-def base_to_json(base):
-    return base.describe()
+def _record(obj, what):
+    if not isinstance(obj, dict):
+        raise NearVecError(f"{what} is not a JSON object: {obj!r}")
+    return obj
+
+
+def _list(obj, what):
+    if not isinstance(obj, (list, tuple)):
+        raise NearVecError(f"{what} is not a list: {obj!r}")
+    return obj
+
+
+def _integer(obj, what):
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise NearVecError(f"{what} is not an integer: {obj!r}")
+    return obj
+
+
+def _real(obj, what):
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise NearVecError(f"{what} is not a number: {obj!r}")
+    return float(obj)
+
+
+def _complex(obj, what):
+    """A number or an [re, im] pair."""
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        return complex(_real(obj[0], what), _real(obj[1], what))
+    return complex(_real(obj, what))
 
 
 def base_from_json(obj, tolerance=None):
+    obj = _record(obj, "base")
     kind = obj.get("kind")
     if kind == "gf":
-        base = GaloisField.of(int(obj["p"]), int(obj["n"]))
+        base = GaloisField.of(_integer(obj["p"], "p"), _integer(obj["n"], "n"))
         given = obj.get("modulus")
-        if given is not None and [int(c) for c in given] != list(base.table.modulus):
+        if given is not None and [
+            _integer(c, "modulus") for c in _list(given, "modulus")
+        ] != list(base.table.modulus):
             raise NearVecError(
                 f"modulus {given} does not match the deterministic table "
                 f"{list(base.table.modulus)}"
@@ -45,10 +75,9 @@ def base_from_json(obj, tolerance=None):
         return base
     if kind == "dickson9":
         return Dickson9()
-    if kind == "real":
-        return RealField(tolerance or obj.get("tolerance", 1e-9))
-    if kind == "complex":
-        return ComplexField(tolerance or obj.get("tolerance", 1e-9))
+    if kind in ("real", "complex"):
+        tolerance = tolerance or _real(obj.get("tolerance", 1e-9), "tolerance")
+        return (RealField if kind == "real" else ComplexField)(tolerance)
     raise NearVecError(f"unknown base kind {kind!r}")
 
 
@@ -62,52 +91,48 @@ def scalar_to_json(base, x):
 
 def scalar_from_json(base, obj):
     if base.kind in ("gf", "dickson9"):
-        return base.table.element(obj)
+        return base.table.element([_integer(c, "scalar") for c in _list(obj, "scalar")])
     if base.kind == "real":
-        return base.check(float(obj))
+        return _real(obj, "scalar")
     if base.kind == "complex":
-        if isinstance(obj, (list, tuple)):
-            return complex(obj[0], obj[1])
-        return base.check(obj)
+        return _complex(obj, "scalar")
     raise NearVecError(f"cannot decode scalar for {base!r}")
 
 
-def auto_to_json(auto):
-    return auto.describe()
-
-
 def auto_from_json(base, obj):
+    obj = _record(obj, "automorphism")
     kind = obj.get("kind")
     if kind == "fpow":
-        return FinitePower(base, int(obj["alpha"]))
+        return FinitePower(base, _integer(obj["alpha"], "alpha"))
     if kind == "rpow":
-        return RealPower(base, float(obj["alpha"]))
+        return RealPower(base, _real(obj["alpha"], "alpha"))
     if kind == "ceps":
-        a = obj["alpha"]
-        return ComplexEps(base, complex(a[0], a[1]), bool(obj.get("conj", False)))
+        alpha = _complex(obj["alpha"], "alpha")
+        return ComplexEps(base, alpha, bool(obj.get("conj", False)))
     if kind == "perm":
-        table = {
-            scalar_from_json(base, pair[0]): scalar_from_json(base, pair[1])
-            for pair in obj["table"]
-        }
+        pairs = [_list(pair, "perm entry") for pair in _list(obj["table"], "table")]
+        if any(len(pair) != 2 for pair in pairs):
+            raise NearVecError("perm entries must be [in, out] pairs")
+        table = {scalar_from_json(base, x): scalar_from_json(base, y) for x, y in pairs}
         return PermAuto(base, table)
     if kind == "inner":
         return InnerAuto(base, scalar_from_json(base, obj["gamma"]))
     if kind == "comp":
-        return CompAuto(base, [auto_from_json(base, f) for f in obj["factors"]])
+        factors = _list(obj["factors"], "factors")
+        return CompAuto(base, [auto_from_json(base, f) for f in factors])
     raise NearVecError(f"unknown automorphism kind {kind!r}")
 
 
-def spec_to_json(spec: SpaceSpec):
-    return spec.describe()
-
-
 def spec_from_json(obj, tolerance=None) -> SpaceSpec:
+    obj = _record(obj, "space")
     base = base_from_json(obj["base"], tolerance=tolerance)
-    index = [str(k) for k in obj["index"]]
-    sigma = {k: auto_from_json(base, obj["sigma"][k]) for k in index}
-    rho = {k: auto_from_json(base, obj["rho"][k]) for k in index}
-    spec = SpaceSpec(base, sigma, rho)
+    index = [str(k) for k in _list(obj["index"], "index")]
+    sigma, rho = _record(obj["sigma"], "sigma"), _record(obj["rho"], "rho")
+    spec = SpaceSpec(
+        base,
+        {k: auto_from_json(base, sigma[k]) for k in index},
+        {k: auto_from_json(base, rho[k]) for k in index},
+    )
     if list(spec.index) != sorted(index):
         raise NearVecError("index does not match sigma/rho labels")
     return spec
@@ -118,6 +143,5 @@ def vector_to_json(base, v: SparseVector):
 
 
 def vector_from_json(spec: SpaceSpec, obj) -> SparseVector:
-    return spec.vector(
-        {k: scalar_from_json(spec.base, x) for k, x in obj["entries"].items()}
-    )
+    entries = _record(_record(obj, "vector")["entries"], "entries")
+    return spec.vector({k: scalar_from_json(spec.base, x) for k, x in entries.items()})

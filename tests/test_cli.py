@@ -145,13 +145,35 @@ def test_space_bound_exceeded(capsys, spec_file):
     assert "bound" in err
 
 
-def test_space_malformed_file(capsys, tmp_path):
+GF5 = {"kind": "gf", "p": 5, "n": 1}
+IDENT = {"kind": "fpow", "alpha": 1}
+
+
+def _space_text(base=GF5, sigma=IDENT, rho=IDENT):
+    return json.dumps(
+        {"base": base, "index": ["1"], "sigma": {"1": sigma}, "rho": {"1": rho}}
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"base": {"kind": "gf", "p": 5',
+        _space_text(sigma={"kind": "fpow", "alpha": "x"}),
+        _space_text(sigma={"kind": "fpow", "alpha": 1.5}),
+        _space_text(rho=3),
+        _space_text(base={"kind": "gf", "p": "a", "n": 1}),
+        "[1, 2]",
+    ],
+    ids=["truncated", "alpha-text", "alpha-float", "rho-not-object", "p-text", "not-object"],
+)
+def test_space_malformed_file(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"base": {"kind": "gf", "p": 5')
+    bad.write_text(text)
     code, out, err = run_cli(capsys, "space", str(bad), "qk")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_space_missing_file(capsys):

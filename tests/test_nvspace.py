@@ -225,6 +225,12 @@ def test_in_quasi_kernel_finite(gf5, spec13):
     )
     assert not ok and witness is not None
     assert in_quasi_kernel(spec13, spec13.vector({}))[0]
+    # one vector costs q^2 scalar pairs however large q^d is
+    gf101 = GaloisField.of(101, 1)
+    big = exponent_space(gf101, [1, 1, 3])
+    one = gf101.one
+    assert in_quasi_kernel(big, big.vector({"1": one, "2": one}))[0]
+    assert not in_quasi_kernel(big, big.vector({"1": one, "3": one}))[0]
 
 
 def test_in_quasi_kernel_real_witness():

@@ -17,13 +17,10 @@ from nearvec.nearfield import COMPLEXES, REALS, Dickson9, GaloisField
 from nearvec.nvspace import exponent_space
 from nearvec.serialize import (
     auto_from_json,
-    auto_to_json,
     base_from_json,
-    base_to_json,
     scalar_from_json,
     scalar_to_json,
     spec_from_json,
-    spec_to_json,
     vector_from_json,
     vector_to_json,
 )
@@ -34,7 +31,7 @@ from nearvec.serialize import (
     [GaloisField.of(5, 1), GaloisField.of(2, 3), Dickson9(), REALS, COMPLEXES],
 )
 def test_base_roundtrip(base):
-    again = base_from_json(json.loads(json.dumps(base_to_json(base))))
+    again = base_from_json(json.loads(json.dumps(base.describe())))
     assert again == base
 
 
@@ -66,17 +63,17 @@ def test_auto_roundtrip():
     ]
     bases = [gf5, REALS, COMPLEXES, d9, d9]
     for auto, base in zip(autos, bases):
-        again = auto_from_json(base, json.loads(json.dumps(auto_to_json(auto))))
+        again = auto_from_json(base, json.loads(json.dumps(auto.describe())))
         assert again == auto
     chain = CompAuto(REALS, [RealPower(REALS, 2.0)])
-    again = auto_from_json(REALS, auto_to_json(chain))
+    again = auto_from_json(REALS, chain.describe())
     assert again.apply(3.0) == chain.apply(3.0)
 
 
 def test_spec_and_vector_roundtrip():
     gf5 = GaloisField.of(5, 1)
     spec = exponent_space(gf5, [1, 3], [3, 1])
-    again = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+    again = spec_from_json(json.loads(json.dumps(spec.describe())))
     assert again.index == spec.index
     assert all(again.sigma[k] == spec.sigma[k] for k in spec.index)
     assert all(again.rho[k] == spec.rho[k] for k in spec.index)
@@ -88,6 +85,6 @@ def test_spec_and_vector_roundtrip():
 
 def test_real_spec_tolerance_override():
     spec = exponent_space(REALS, [2.0])
-    blob = spec_to_json(spec)
+    blob = spec.describe()
     loose = spec_from_json(blob, tolerance=1e-3)
     assert loose.base.tolerance == 1e-3
