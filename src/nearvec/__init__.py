@@ -38,7 +38,6 @@ from .nearfield import (
     scalar_group_axiom_check,
 )
 from .mult_auto import (
-    CompAuto,
     ComplexEps,
     FinitePower,
     InnerAuto,

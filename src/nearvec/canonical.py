@@ -322,9 +322,7 @@ def product_hypotheses(base) -> Report:
     # finite noncommutative base: count addition classes among all
     # automorphisms and read the dimension off the subfield sizes
     autos = enumerate_mult_autos(base)
-    classes = first_representative_classes(
-        autos, lambda f, g: same_addition(f, g, base)
-    )
+    classes = first_representative_classes(autos, same_addition)
     fd = distributive_elements(base)
     order = base.order()
     dim = 0

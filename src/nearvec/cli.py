@@ -44,7 +44,7 @@ from .nvspace import (
     same_addition_classes,
 )
 from .report import Report
-from .serialize import base_from_json, spec_from_json, vector_to_json
+from .serialize import base_from_json, complexification_from_json, spec_from_json, vector_to_json
 
 MATERIALIZE_PRINT_CAP = 512
 
@@ -83,9 +83,7 @@ def cmd_classify(args):
 def cmd_autos(args):
     base = base_from_json(_load_json_arg(args.base), tolerance=args.tol)
     autos = enumerate_mult_autos(base)
-    classes = first_representative_classes(
-        autos, lambda f, g: same_addition(f, g, base)
-    )
+    classes = first_representative_classes(autos, same_addition)
     properties_ok = all(mult_properties_check(a).passed for a in autos)
     out = {
         "base": base.describe(),
@@ -170,8 +168,9 @@ def cmd_space(args):
 
 
 def cmd_complexify(args):
-    obj = _load_json_arg(args.cspec)
-    cspec = ComplexificationSpec(obj["T"], obj.get("S"), args.conj or obj.get("conj", False))
+    cspec = complexification_from_json(_load_json_arg(args.cspec))
+    if args.conj:
+        cspec = ComplexificationSpec(cspec.T, cspec.S, True)
     spec = complexify(cspec)
     checks = []
     for alpha in sorted(set(cspec.T) | set(cspec.S)):
@@ -185,7 +184,7 @@ def cmd_complexify(args):
                 "passed": residual <= (args.tol or 1e-9),
             }
         )
-        checks.append(conj_pair_check(alpha, seed=args.seed).to_json())
+        checks.append(conj_pair_check(alpha).to_json())
     ok = all(c["passed"] for c in checks)
     out = {
         "complexification": cspec.to_json(),

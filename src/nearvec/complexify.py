@@ -53,10 +53,6 @@ class ComplexificationSpec:
     def to_json(self):
         return {"T": list(self.T), "S": list(self.S), "conj": self.conj}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["T"], obj.get("S"), obj.get("conj", False))
-
 
 def complexify(cspec: ComplexificationSpec, base: ComplexField = None) -> SpaceSpec:
     """The complex space whose twists extend the given real power twists."""
@@ -139,7 +135,7 @@ def _additions_agree(base, auto1, auto2):
     return None
 
 
-def conj_pair_check(alpha, samples: int = 0, seed: int = 0, base=None) -> Report:
+def conj_pair_check(alpha, base=None) -> Report:
     """The plain map at alpha and the conjugating map at conj(alpha) induce
     the same addition; a deterministic unpaired exponent does not."""
     base = COMPLEXES if base is None else base

@@ -69,13 +69,6 @@ def _trim(c):
     return tuple(c[:i])
 
 
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _trim([(x + y) % p for x, y in zip(a, b)])
-
-
 def _poly_mul(a, b, p):
     if not a or not b:
         return ()

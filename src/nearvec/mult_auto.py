@@ -9,12 +9,12 @@ addition unchanged (see ``same_addition``).  The concrete families are
 * ``ComplexEps``    z = r s -> r^a s (optionally conjugating the unit part
                     s), Re a != 0, the principal real log of the modulus;
 * ``PermAuto``      an explicit multiplicative bijection of a finite base;
-* ``InnerAuto``     conjugation x -> g^-1 x g, trivial on commutative bases;
-* ``CompAuto``      a normalized chain of the above, applied right to left.
+* ``InnerAuto``     conjugation x -> g^-1 x g, trivial on commutative bases.
 
-Composition and inversion stay inside the closed families: power exponents
-merge, complex parameters merge through a small closed form, and anything
-mixed over a finite base is materialized as a permutation table.
+Composition and inversion stay inside these families, so ``compose``
+returns one of them and never a chain: power exponents merge, complex
+parameters merge through a small closed form, inner twists merge, and any
+other pair over a finite base is materialized as a permutation table.
 """
 
 import cmath
@@ -24,14 +24,8 @@ import random
 from math import gcd
 
 from .errors import BaseMismatchError, NearVecError, UnsupportedBaseError
-from .galois import same_addition_exponents as _same_exponents
 from .nearfield import BaseStructure, is_nearfield_automorphism
 from .report import Report
-
-
-def _require_same_base(a, b):
-    if a.base != b.base:
-        raise BaseMismatchError(f"{a!r} and {b!r} live over different bases")
 
 
 class MultAuto:
@@ -287,8 +281,9 @@ class InnerAuto(MultAuto):
         return all(self.apply(x) == x for x in self.base.elements())
 
     def describe(self):
-        g = self.gamma
-        return {"kind": "inner", "gamma": list(g.coeffs) if hasattr(g, "coeffs") else g}
+        from .serialize import json_value  # serialize imports this module
+
+        return {"kind": "inner", "gamma": json_value(self.gamma)}
 
     def __repr__(self):
         return f"InnerAuto({self.gamma!r})"
@@ -302,57 +297,6 @@ class InnerAuto(MultAuto):
 
     def __hash__(self):
         return hash(("inner", self.base, self.gamma))
-
-
-class CompAuto(MultAuto):
-    """Normalized composition chain, applied right to left.
-
-    Normalization flattens nested chains, drops identity factors and merges
-    adjacent factors that admit a closed-form product, so a surviving chain
-    never holds two adjacent members of the same power family.
-    """
-
-    def __init__(self, base, factors):
-        super().__init__(base)
-        flat = []
-        for f in factors:
-            if f.base != base:
-                raise BaseMismatchError("composition factors over different bases")
-            flat.extend(f.factors if isinstance(f, CompAuto) else [f])
-        self.factors = tuple(_normalize_factors(base, flat))
-
-    def apply(self, x):
-        for f in reversed(self.factors):
-            x = f.apply(x)
-        return x
-
-    def _inverse(self):
-        return CompAuto(self.base, [f.inverse() for f in reversed(self.factors)])
-
-    def is_identity(self):
-        if not self.factors:
-            return True
-        if len(self.factors) == 1:
-            return self.factors[0].is_identity()
-        if self.base.is_finite:
-            return all(self.apply(x) == x for x in self.base.elements())
-        return False
-
-    def describe(self):
-        return {"kind": "comp", "factors": [f.describe() for f in self.factors]}
-
-    def __repr__(self):
-        return f"CompAuto({list(self.factors)!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompAuto)
-            and self.base == other.base
-            and self.factors == other.factors
-        )
-
-    def __hash__(self):
-        return hash(("comp", self.base, self.factors))
 
 
 def identity_auto(base: BaseStructure) -> MultAuto:
@@ -378,7 +322,10 @@ def as_perm(auto: MultAuto) -> PermAuto:
 
 
 def _merge_pair(outer, inner):
-    """Closed-form product outer . inner, or None when there is none."""
+    """The product outer . inner inside the closed families: power
+    exponents and inner twists merge, any other pair over a finite base
+    becomes a table.  The reals and the complexes have one power family
+    each and only identity inner twists, so no other pair reaches here."""
     base = outer.base
     if isinstance(outer, FinitePower) and isinstance(inner, FinitePower):
         return FinitePower(base, outer.alpha * inner.alpha)
@@ -393,39 +340,21 @@ def _merge_pair(outer, inner):
         return ComplexEps(base, merged, outer.conj != inner.conj)
     if isinstance(outer, InnerAuto) and isinstance(inner, InnerAuto):
         return InnerAuto(base, base.mul(inner.gamma, outer.gamma))
-    if base.is_finite:
-        composed = {x: outer.apply(inner.apply(x)) for x in base.elements()}
-        return PermAuto(base, composed)
-    return None
-
-
-def _normalize_factors(base, factors):
-    stack = []
-    for f in factors:
-        if f.is_identity():
-            continue
-        stack.append(f)
-        while len(stack) >= 2:
-            merged = _merge_pair(stack[-2], stack[-1])
-            if merged is None:
-                break
-            stack[-2:] = [] if merged.is_identity() else [merged]
-    return stack
+    return PermAuto(base, {x: outer.apply(inner.apply(x)) for x in base.elements()})
 
 
 def compose(a: MultAuto, b: MultAuto) -> MultAuto:
-    """The automorphism applying b first and a second."""
-    _require_same_base(a, b)
-    base = a.base
-    parts = []
-    for f in (a, b):
-        parts.extend(f.factors if isinstance(f, CompAuto) else [f])
-    stack = _normalize_factors(base, parts)
-    if not stack:
-        return identity_auto(base)
-    if len(stack) == 1:
-        return stack[0]
-    return CompAuto(base, stack)
+    """The automorphism applying b first and a second, as one member of the
+    closed families; an identity product is ``identity_auto(base)``."""
+    if a.base != b.base:
+        raise BaseMismatchError(f"{a!r} and {b!r} live over different bases")
+    if a.is_identity():
+        product = b
+    elif b.is_identity():
+        product = a
+    else:
+        product = _merge_pair(a, b)
+    return identity_auto(a.base) if product.is_identity() else product
 
 
 def enumerate_mult_autos(base: BaseStructure) -> list:
@@ -546,14 +475,10 @@ def mult_properties_check(auto: MultAuto, samples: int = 1000, seed: int = 0) ->
     )
 
 
-def same_addition(a: MultAuto, b: MultAuto, base: BaseStructure = None) -> bool:
-    """Whether a and b induce the same addition on their base."""
-    _require_same_base(a, b)
-    if base is None:
-        base = a.base
-    if base.kind == "gf" and isinstance(a, FinitePower) and isinstance(b, FinitePower):
-        return _same_exponents(a.alpha, b.alpha, base.table.p, base.table.n)
-    return is_nearfield_automorphism(base, compose(a, b.inverse()))
+def same_addition(a: MultAuto, b: MultAuto) -> bool:
+    """Whether a and b induce the same addition on their base: exactly when
+    a . b^-1 also preserves the sum."""
+    return is_nearfield_automorphism(a.base, compose(a, b.inverse()))
 
 
 __all__ = [
@@ -563,7 +488,6 @@ __all__ = [
     "ComplexEps",
     "PermAuto",
     "InnerAuto",
-    "CompAuto",
     "identity_auto",
     "as_perm",
     "compose",

@@ -99,10 +99,8 @@ class GaloisField(BaseStructure):
         self.minus_one = table.minus_one
 
     @classmethod
-    def of(cls, p, n, max_order=None):
-        if max_order is None:
-            return cls(gf_build(p, n))
-        return cls(gf_build(p, n, max_order=max_order))
+    def of(cls, p, n):
+        return cls(gf_build(p, n))
 
     def check(self, x):
         return self.table.check(x)
@@ -143,35 +141,24 @@ class GaloisField(BaseStructure):
         return f"GaloisField(GF({self.table.order}))"
 
     def __eq__(self, other):
-        return isinstance(other, GaloisField) and self.table == other.table
+        # exact type: GF(9) and its Dickson variant share a table
+        return type(self) is type(other) and self.table == other.table
 
     def __hash__(self):
-        return hash(("gf", self.table))
+        return hash((self.kind, self.table))
 
 
-class Dickson9(BaseStructure):
-    """The order-9 Dickson near-field: GF(9) addition, coupled product."""
+class Dickson9(GaloisField):
+    """The order-9 Dickson near-field: the elements, addition and tables of
+    GF(9) with the coupled product."""
 
     kind = "dickson9"
-    is_finite = True
     commutative = False
 
     def __init__(self):
-        t = gf_build(3, 2)
-        self.table = t
+        super().__init__(gf_build(3, 2))
+        t = self.table
         self.squares = frozenset(t.mul(y, y) for y in t.elements[1:])
-        self.zero = t.zero
-        self.one = t.one
-        self.minus_one = t.neg(t.one)
-
-    def check(self, x):
-        return self.table.check(x)
-
-    def add(self, x, y):
-        return self.table.add(x, y)
-
-    def neg(self, x):
-        return self.table.neg(x)
 
     def mul(self, x, y):
         t = self.table
@@ -189,26 +176,11 @@ class Dickson9(BaseStructure):
             return t.inv(x)
         return t.pow(x, -3)
 
-    def eq(self, x, y):
-        return x == y
-
-    def is_zero(self, x):
-        return x.is_zero
-
-    def elements(self):
-        return self.table.elements
-
-    def order(self):
-        return 9
-
     def describe(self):
         return {"kind": "dickson9"}
 
-    def __eq__(self, other):
-        return isinstance(other, Dickson9)
-
-    def __hash__(self):
-        return hash("dickson9")
+    def __repr__(self):
+        return "Dickson9()"
 
 
 class RealField(BaseStructure):

@@ -278,22 +278,13 @@ class SpaceSpec:
         return f"SpaceSpec({self.base!r}, dim={self.dim})"
 
 
-def exponent_space(base, sigma_exponents, rho_exponents=None, auto_factory=None):
-    """Convenience constructor from per-label exponent tuples.
-
-    Labels are "1", "2", ... in order.  ``auto_factory(base, e)`` turns an
-    exponent into an automorphism; by default the power-map family of the
-    base is used.
-    """
-    if auto_factory is None:
-        if base.kind == "gf":
-            auto_factory = FinitePower
-        elif base.kind == "real":
-            auto_factory = RealPower
-        elif base.kind == "complex":
-            auto_factory = ComplexEps
-        else:
-            raise UnsupportedBaseError("no default exponent family for this base")
+def exponent_space(base, sigma_exponents, rho_exponents=None):
+    """Convenience constructor from per-label exponent tuples: the power-map
+    family of the base, labels "1", "2", ... in order, rho the identity
+    where no exponent is given."""
+    family = {"gf": FinitePower, "real": RealPower, "complex": ComplexEps}.get(base.kind)
+    if family is None:
+        raise UnsupportedBaseError("no default exponent family for this base")
     sigma_exponents = list(sigma_exponents)
     if rho_exponents is None:
         rho_exponents = [None] * len(sigma_exponents)
@@ -303,8 +294,8 @@ def exponent_space(base, sigma_exponents, rho_exponents=None, auto_factory=None)
     sigma, rho = {}, {}
     for k, (se, re_) in enumerate(zip(sigma_exponents, rho_exponents), start=1):
         label = str(k)
-        sigma[label] = auto_factory(base, se)
-        rho[label] = identity_auto(base) if re_ is None else auto_factory(base, re_)
+        sigma[label] = family(base, se)
+        rho[label] = identity_auto(base) if re_ is None else family(base, re_)
     return SpaceSpec(base, sigma, rho)
 
 
@@ -417,7 +408,7 @@ def same_addition_classes(spec: SpaceSpec) -> Partition:
     return Partition(
         first_representative_classes(
             spec.index,
-            lambda i, j: same_addition(spec.theta(i), spec.theta(j), spec.base),
+            lambda i, j: same_addition(spec.theta(i), spec.theta(j)),
         )
     )
 

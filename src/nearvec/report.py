@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 class Report:
     """Outcome of a check: overall verdict, counters, and any violations.
 
-    ``details`` holds JSON-friendly summary values; ``violations`` holds one
-    JSON-friendly record per failed case (empty when ``passed``).
+    ``details`` holds summary values; ``violations`` holds one record per
+    failed case (empty when ``passed``).  Scalars and vectors in either are
+    kept as they are and take their JSON form in ``to_json``.
     """
 
     name: str
@@ -17,11 +18,13 @@ class Report:
     violations: list = field(default_factory=list)
 
     def to_json(self):
+        from .serialize import json_value  # serialize imports the checks
+
         return {
             "check": self.name,
             "passed": self.passed,
-            "details": self.details,
-            "violations": self.violations,
+            "details": json_value(self.details),
+            "violations": json_value(self.violations),
         }
 
     def __bool__(self):

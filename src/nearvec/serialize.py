@@ -1,23 +1,33 @@
-"""JSON forms of bases, scalars, automorphisms, specs, and vectors.
+"""JSON forms of bases, scalars, automorphisms, specs, vectors, and
+complexification files.
 
 Bases are tagged records: {"kind": "gf", "p", "n", "modulus"} |
 {"kind": "real"|"complex", "tolerance"} | {"kind": "dickson9"}.  Galois
 scalars are coefficient arrays (constant term first), reals are numbers,
 complexes are [re, im] pairs.  Automorphisms: {"kind": "fpow"|"rpow",
 "alpha"} | {"kind": "ceps", "alpha": [re, im], "conj"} | {"kind": "perm",
-"table": [[in, out], ...]} | {"kind": "inner", "gamma"} | {"kind": "comp",
-"factors": [...]}.  A space file is {"base", "index", "sigma", "rho"}; a
-vector is {"entries": {label: scalar}}.
+"table": [[in, out], ...]} | {"kind": "inner", "gamma"}; the input-only
+{"kind": "comp", "factors": [...]} decodes to the composition of its
+factors, applied right to left, which is again one of the other kinds.  A
+space file is {"base", "index", "sigma", "rho"}; a vector is {"entries":
+{label: scalar}}; a complexification file is {"T": [...], "S": [...] |
+null, "conj": bool}.  ``json_value`` encodes the same scalar and vector
+forms inside report records.
 """
 
+import functools
+
+from .complexify import ComplexificationSpec
 from .errors import NearVecError
+from .galois import GFElement
 from .mult_auto import (
-    CompAuto,
     ComplexEps,
     FinitePower,
     InnerAuto,
     PermAuto,
     RealPower,
+    compose,
+    identity_auto,
 )
 from .nearfield import (
     ComplexField,
@@ -52,6 +62,16 @@ def _real(obj, what):
     return float(obj)
 
 
+def _reals(obj, what):
+    return [_real(x, what) for x in _list(obj, what)]
+
+
+def _boolean(obj, what):
+    if not isinstance(obj, bool):
+        raise NearVecError(f"{what} is not a boolean: {obj!r}")
+    return obj
+
+
 def _complex(obj, what):
     """A number or an [re, im] pair."""
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
@@ -81,12 +101,25 @@ def base_from_json(obj, tolerance=None):
     raise NearVecError(f"unknown base kind {kind!r}")
 
 
+def json_value(obj):
+    """The JSON form of a value held in an output or a report record:
+    finite-base scalars become coefficient arrays, complexes [re, im],
+    vectors {label: scalar}, and containers are encoded item by item."""
+    if isinstance(obj, GFElement):
+        return list(obj.coeffs)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, SparseVector):
+        return {k: json_value(x) for k, x in obj}
+    if isinstance(obj, dict):
+        return {k: json_value(x) for k, x in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_value(x) for x in obj]
+    return obj
+
+
 def scalar_to_json(base, x):
-    if hasattr(x, "coeffs"):
-        return list(x.coeffs)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    return x
+    return json_value(x)
 
 
 def scalar_from_json(base, obj):
@@ -108,7 +141,7 @@ def auto_from_json(base, obj):
         return RealPower(base, _real(obj["alpha"], "alpha"))
     if kind == "ceps":
         alpha = _complex(obj["alpha"], "alpha")
-        return ComplexEps(base, alpha, bool(obj.get("conj", False)))
+        return ComplexEps(base, alpha, _boolean(obj.get("conj", False), "conj"))
     if kind == "perm":
         pairs = [_list(pair, "perm entry") for pair in _list(obj["table"], "table")]
         if any(len(pair) != 2 for pair in pairs):
@@ -118,8 +151,8 @@ def auto_from_json(base, obj):
     if kind == "inner":
         return InnerAuto(base, scalar_from_json(base, obj["gamma"]))
     if kind == "comp":
-        factors = _list(obj["factors"], "factors")
-        return CompAuto(base, [auto_from_json(base, f) for f in factors])
+        factors = [auto_from_json(base, f) for f in _list(obj["factors"], "factors")]
+        return functools.reduce(compose, factors) if factors else identity_auto(base)
     raise NearVecError(f"unknown automorphism kind {kind!r}")
 
 
@@ -139,9 +172,19 @@ def spec_from_json(obj, tolerance=None) -> SpaceSpec:
 
 
 def vector_to_json(base, v: SparseVector):
-    return {"entries": {k: scalar_to_json(base, x) for k, x in v}}
+    return {"entries": json_value(v)}
 
 
 def vector_from_json(spec: SpaceSpec, obj) -> SparseVector:
     entries = _record(_record(obj, "vector")["entries"], "entries")
     return spec.vector({k: scalar_from_json(spec.base, x) for k, x in entries.items()})
+
+
+def complexification_from_json(obj) -> ComplexificationSpec:
+    obj = _record(obj, "complexification")
+    S = obj.get("S")
+    return ComplexificationSpec(
+        _reals(obj["T"], "T"),
+        None if S is None else _reals(S, "S"),
+        _boolean(obj.get("conj", False), "conj"),
+    )

@@ -1,6 +1,7 @@
 """Normal forms, isomorphism verification, certificates, products."""
 
 import itertools
+import json
 
 import pytest
 
@@ -89,6 +90,26 @@ def test_verify_iso_detects_corrupted_map(gf5):
     rep = verify_iso(corrupted)
     assert not rep.passed
     assert any(v["law"] == "additive" for v in rep.violations)
+    # the same swap with a non-unit image leaves the basis-aligned path;
+    # its violations hold vector pairs instead of scalar pairs
+    two = gf5.table.from_int(2)
+    unaligned = IsoMap(
+        spec,
+        target,
+        {
+            "1": target.scale(two, m.basis_images["2"]),
+            "2": m.basis_images["1"],
+        },
+    )
+    rep2 = verify_iso(unaligned)
+    assert rep2.details["mode"] == "exhaustive" and not rep2.passed
+    # both reports survive json.dumps: scalars as coefficient arrays,
+    # vectors as {label: scalar}
+    scalar_pair = json.loads(json.dumps(rep.to_json()))["violations"][0]["pair"]
+    assert all(isinstance(x, list) and len(x) == 1 for x in scalar_pair)
+    vector_pair = json.loads(json.dumps(rep2.to_json()))["violations"][0]["pair"]
+    assert all(isinstance(v, dict) for v in vector_pair)
+    assert all(isinstance(x, list) for v in vector_pair for x in v.values())
 
 
 def test_verify_iso_identity_map_full_loop(gf5):

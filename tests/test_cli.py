@@ -1,10 +1,14 @@
 """Command line behaviour: output shape, determinism, exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from nearvec.cli import main
+
+BENCH_CLI_CALLS = Path(__file__).resolve().parents[1] / "bench" / "cli_calls.py"
 
 
 def run_cli(capsys, *argv):
@@ -164,8 +168,21 @@ def _space_text(base=GF5, sigma=IDENT, rho=IDENT):
         _space_text(rho=3),
         _space_text(base={"kind": "gf", "p": "a", "n": 1}),
         "[1, 2]",
+        _space_text(
+            base={"kind": "complex"},
+            sigma={"kind": "ceps", "alpha": [2, 0], "conj": "yes"},
+            rho={"kind": "ceps", "alpha": [1, 0]},
+        ),
     ],
-    ids=["truncated", "alpha-text", "alpha-float", "rho-not-object", "p-text", "not-object"],
+    ids=[
+        "truncated",
+        "alpha-text",
+        "alpha-float",
+        "rho-not-object",
+        "p-text",
+        "not-object",
+        "conj-text",
+    ],
 )
 def test_space_malformed_file(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
@@ -209,6 +226,29 @@ def test_complexify_zero_exponent(capsys, tmp_path):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"T": ["x"]}',
+        '{"T": 5}',
+        '{"T": [true]}',
+        '{"T": [1], "S": [null]}',
+        '{"T": [1], "S": 2}',
+        '{"T": [1], "conj": "yes"}',
+        '{"T": [1], "conj": 1}',
+        '[1, 2]',
+    ],
+    ids=["T-text", "T-number", "T-bool", "S-null-entry", "S-number", "conj-text", "conj-int", "not-object"],
+)
+def test_complexify_malformed(capsys, tmp_path, text):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(text)
+    code, out, err = run_cli(capsys, "complexify", str(cfile))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_check_base(capsys):
     code, out, _ = run_cli(capsys, "check-base", '{"kind":"dickson9"}')
     assert code == 0
@@ -241,3 +281,25 @@ def test_space_qk_real_spec(capsys, tmp_path):
     assert data["quasi_kernel"]["classes"] == [["1"], ["2"]]
     assert data["quasi_kernel"]["allowed"] == {"1": "all", "2": "all"}
     assert "elements" not in data
+
+
+def _bench_cli_calls():
+    spec = importlib.util.spec_from_file_location("bench_cli_calls", BENCH_CLI_CALLS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CLI_CALLS = _bench_cli_calls()
+# the golden calls that take no space file, so nothing has to be written
+FILELESS_CALLS = [
+    (name, argv)
+    for name, argv in CLI_CALLS.calls()
+    if argv[0] in ("classify", "autos", "check-base", "complexify")
+]
+
+
+@pytest.mark.parametrize("name,argv", FILELESS_CALLS, ids=[name for name, _ in FILELESS_CALLS])
+def test_cli_goldens(capsys, name, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert CLI_CALLS.digest(out.encode(), code) == CLI_CALLS.load_goldens()[name]

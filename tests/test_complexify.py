@@ -20,6 +20,7 @@ from nearvec.complexify import (
 from nearvec.errors import NearVecError
 from nearvec.mult_auto import ComplexEps, RealPower
 from nearvec.nearfield import COMPLEXES, REALS
+from nearvec.serialize import complexification_from_json
 
 
 def test_real_power_auto_examples():
@@ -52,7 +53,7 @@ def test_complexify_construction():
 
 def test_cspec_json_roundtrip():
     c = ComplexificationSpec([2.0, 3.0], [1.0, 0.5], conj=True)
-    assert ComplexificationSpec.from_json(c.to_json()).to_json() == c.to_json()
+    assert complexification_from_json(c.to_json()).to_json() == c.to_json()
 
 
 @pytest.mark.parametrize("alpha", [2.0, 0.5, -1.5, 3.0])

@@ -6,7 +6,6 @@ import pytest
 
 from nearvec.errors import BaseMismatchError, NearVecError, UnsupportedBaseError
 from nearvec.mult_auto import (
-    CompAuto,
     ComplexEps,
     FinitePower,
     InnerAuto,
@@ -27,6 +26,7 @@ from nearvec.nearfield import (
     induced_add,
     is_nearfield_automorphism,
 )
+from nearvec.serialize import auto_from_json
 
 
 @pytest.fixture(scope="module")
@@ -187,15 +187,14 @@ def test_inverse_roundtrip(gf8, d9_autos, d9):
 
 
 def test_comp_auto_normalization(gf5):
-    s3 = FinitePower(gf5, 3)
-    chain = CompAuto(gf5, [s3, identity_auto(gf5), s3])
-    # adjacent same-variant factors merge and identities drop
-    assert chain.is_identity()
-    mixed = CompAuto(REALS, [RealPower(REALS, 2.0), RealPower(REALS, 3.0)])
-    assert len(mixed.factors) == 1
-    for x in (0.5, -2.0, 3.0):
-        assert REALS.eq(mixed.apply(x), RealPower(REALS, 6.0).apply(x))
-    assert all(not f.is_identity() for f in mixed.factors)
+    # a comp record decodes to one automorphism: identities drop and
+    # same-family factors merge
+    s3 = {"kind": "fpow", "alpha": 3}
+    chain = {"kind": "comp", "factors": [s3, {"kind": "fpow", "alpha": 1}, s3]}
+    assert auto_from_json(gf5, chain) == identity_auto(gf5)
+    powers = [{"kind": "rpow", "alpha": 2.0}, {"kind": "rpow", "alpha": 3.0}]
+    mixed = auto_from_json(REALS, {"kind": "comp", "factors": powers})
+    assert mixed == RealPower(REALS, 6.0)
     inv = mixed.inverse()
     for x in (0.5, -2.0, 3.0):
         assert REALS.eq(inv.apply(mixed.apply(x)), x)
@@ -259,7 +258,7 @@ def test_same_addition_is_equivalence(maker, gf5, gf8, d9, d9_autos):
         "d9": (d9, d9_autos),
     }[maker]
     autos = autos or enumerate_mult_autos(base)
-    rel = [[same_addition(a, b, base) for b in autos] for a in autos]
+    rel = [[same_addition(a, b) for b in autos] for a in autos]
     n = len(autos)
     for i in range(n):
         assert rel[i][i]

@@ -210,6 +210,9 @@ def test_base_equality_and_describe(gf5, d9):
     assert gf5 == GaloisField.of(5, 1)
     assert gf5 != GaloisField.of(7, 1)
     assert d9 == Dickson9()
+    # same table, different product: never equal, in either order
+    assert GaloisField.of(3, 2) != d9 and d9 != GaloisField.of(3, 2)
+    assert not GaloisField.of(3, 2).__eq__(d9) and not d9.__eq__(GaloisField.of(3, 2))
     assert RealField() == RealField()
     assert RealField(1e-6) != RealField(1e-9)
     assert gf5.describe() == {"kind": "gf", "p": 5, "n": 1, "modulus": [0, 1]}

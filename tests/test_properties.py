@@ -1,23 +1,41 @@
-"""Property tests on random small spaces: single-vector membership agrees
-with the brute-force quasi-kernel, and every multiplicativity certificate
-reproduces the anchored addition it certifies."""
+"""Property tests on random small spaces and automorphisms: single-vector
+membership agrees with the brute-force quasi-kernel, every
+multiplicativity certificate reproduces the anchored addition it
+certifies, and composition, inversion and the JSON forms of automorphisms
+obey their laws."""
 
+import functools
+import json
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearvec.canonical import is_multiplicative
-from nearvec.mult_auto import CompAuto, FinitePower, InnerAuto, as_perm, enumerate_mult_autos
-from nearvec.nearfield import Dickson9, GaloisField, induced_add
+from nearvec.mult_auto import (
+    ComplexEps,
+    FinitePower,
+    InnerAuto,
+    RealPower,
+    as_perm,
+    compose,
+    enumerate_mult_autos,
+    identity_auto,
+)
+from nearvec.nearfield import COMPLEXES, REALS, Dickson9, GaloisField, induced_add
 from nearvec.nvspace import SpaceSpec, anchored_add, in_quasi_kernel, quasi_kernel_bruteforce
+from nearvec.serialize import auto_from_json
 
 # deterministic examples, capped so the whole file stays within a few seconds
 PROPERTY_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+COMPOSE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 FIELDS = {(p, n): GaloisField.of(p, n) for p, n in ((2, 2), (7, 1), (2, 3), (3, 2))}
 D9 = Dickson9()
-D9_AUTOS = enumerate_mult_autos(D9)
+LISTED = {base: enumerate_mult_autos(base) for base in (FIELDS[2, 3], FIELDS[3, 2], D9)}
+# dyadic exponent parts, so products and inverses of the real and complex
+# families are exact and law checks can compare with ==
+DYADIC = (-2.0, -0.5, 0.5, 1.0, 2.0, 4.0)
 
 
 @st.composite
@@ -32,21 +50,42 @@ def gf_specs(draw):
 
 
 @st.composite
-def dickson_auto(draw):
-    """One of the 24 automorphisms as a table, an inner twist or a chain."""
-    form = draw(st.sampled_from(("perm", "inner", "comp")))
-    gamma = draw(st.sampled_from(D9.nonzero_elements()))
+def finite_auto(draw, base):
+    """An automorphism of a finite base as a table, an inner twist or the
+    composition of the two; on a Galois field also as a power map."""
+    forms = ("perm", "inner", "comp") + (("power",) if base.kind == "gf" else ())
+    form = draw(st.sampled_from(forms))
+    gamma = draw(st.sampled_from(base.nonzero_elements()))
     if form == "inner":
-        return InnerAuto(D9, gamma)
-    table = as_perm(draw(st.sampled_from(D9_AUTOS)))
-    return table if form == "perm" else CompAuto(D9, [InnerAuto(D9, gamma), table])
+        return InnerAuto(base, gamma)
+    listed = draw(st.sampled_from(LISTED[base]))
+    if form == "power":
+        return listed
+    table = as_perm(listed)
+    return table if form == "perm" else compose(InnerAuto(base, gamma), table)
+
+
+def autos_over(base):
+    if base == REALS:
+        return st.builds(RealPower, st.just(REALS), st.sampled_from(DYADIC))
+    if base == COMPLEXES:
+        alpha = st.builds(complex, st.sampled_from(DYADIC), st.sampled_from((0.0, 0.5, -1.0)))
+        return st.builds(ComplexEps, st.just(COMPLEXES), alpha, st.booleans())
+    return finite_auto(base)
+
+
+@st.composite
+def three_autos(draw):
+    """A base and three automorphisms of it."""
+    base = draw(st.sampled_from([*LISTED, REALS, COMPLEXES]))
+    return base, [draw(autos_over(base)) for _ in range(3)]
 
 
 @st.composite
 def dickson_specs(draw):
     labels = [str(k) for k in range(1, draw(st.integers(1, 2)) + 1)]
-    sigma = {k: draw(dickson_auto()) for k in labels}
-    rho = {k: draw(dickson_auto()) for k in labels}
+    sigma = {k: draw(finite_auto(D9)) for k in labels}
+    rho = {k: draw(finite_auto(D9)) for k in labels}
     return SpaceSpec(D9, sigma, rho)
 
 
@@ -75,3 +114,50 @@ def test_galois_membership_and_certificates(spec):
 @given(dickson_specs())
 def test_dickson_membership_and_certificates(spec):
     check_membership_and_certificates(spec)
+
+
+def applied(factors, x):
+    """x under the factors, applied right to left."""
+    for f in reversed(factors):
+        x = f.apply(x)
+    return x
+
+
+@COMPOSE_SETTINGS
+@given(three_autos())
+def test_compose_is_associative(case):
+    base, (a, b, c) = case
+    left, right = compose(compose(a, b), c), compose(a, compose(b, c))
+    for x in base.sample_points():
+        want = applied([a, b, c], x)
+        assert base.eq(left.apply(x), want) and base.eq(right.apply(x), want)
+
+
+@COMPOSE_SETTINGS
+@given(three_autos())
+def test_compose_inverse_and_identity(case):
+    base, autos = case
+    e = identity_auto(base)
+    for a in autos:
+        assert compose(a, a.inverse()) == compose(a.inverse(), a) == e
+        assert compose(a, e) == compose(e, a) == (e if a.is_identity() else a)
+
+
+@COMPOSE_SETTINGS
+@given(three_autos())
+def test_describe_round_trip(case):
+    base, autos = case
+    for a in autos:
+        assert auto_from_json(base, json.loads(json.dumps(a.describe()))) == a
+
+
+@COMPOSE_SETTINGS
+@given(three_autos(), st.integers(0, 3))
+def test_comp_record_is_folded_compose(case, k):
+    base, autos = case
+    factors = autos[:k]
+    record = {"kind": "comp", "factors": [f.describe() for f in factors]}
+    decoded = auto_from_json(base, json.loads(json.dumps(record)))
+    assert decoded == functools.reduce(compose, factors, identity_auto(base))
+    for x in base.sample_points():
+        assert base.eq(decoded.apply(x), applied(factors, x))

@@ -6,7 +6,6 @@ import pytest
 
 from nearvec.errors import NearVecError
 from nearvec.mult_auto import (
-    CompAuto,
     ComplexEps,
     FinitePower,
     InnerAuto,
@@ -60,14 +59,15 @@ def test_auto_roundtrip():
         ComplexEps(COMPLEXES, 2 + 1j, True),
         enumerate_mult_autos(d9)[5],
         InnerAuto(d9, d9.table.from_int(5)),
+        InnerAuto(COMPLEXES, 2j),
     ]
-    bases = [gf5, REALS, COMPLEXES, d9, d9]
+    bases = [gf5, REALS, COMPLEXES, d9, d9, COMPLEXES]
     for auto, base in zip(autos, bases):
         again = auto_from_json(base, json.loads(json.dumps(auto.describe())))
         assert again == auto
-    chain = CompAuto(REALS, [RealPower(REALS, 2.0)])
-    again = auto_from_json(REALS, chain.describe())
-    assert again.apply(3.0) == chain.apply(3.0)
+    # a one-factor comp record decodes to its factor
+    again = auto_from_json(REALS, {"kind": "comp", "factors": [{"kind": "rpow", "alpha": 2.0}]})
+    assert again == RealPower(REALS, 2.0)
 
 
 def test_spec_and_vector_roundtrip():
