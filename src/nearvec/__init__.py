@@ -17,7 +17,6 @@ from .errors import (
 )
 from .galois import (
     GFElement,
-    GFTable,
     UnitClassification,
     gf_build,
     same_addition_exponents,

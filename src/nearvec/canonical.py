@@ -292,11 +292,10 @@ def product_hypotheses(base) -> Report:
     finitely many induced additions and finite dimension over the right
     distributive part."""
     if base.kind == "gf":
-        p, n = base.table.p, base.table.n
         if base.order() == 2:
             induced = 1
         else:
-            induced = unit_classification(p, n).count
+            induced = unit_classification(base.p, base.n).count
         # a commutative product makes every element right distributive
         fd_size = base.order()
         dim = 1

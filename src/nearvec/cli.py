@@ -30,7 +30,7 @@ from .complexify import (
     restriction_agrees,
 )
 from .errors import NearVecError
-from .galois import is_prime, unit_classification
+from .galois import unit_classification
 from .mult_auto import enumerate_mult_autos, mult_properties_check, same_addition
 from .nearfield import distributive_elements, scalar_group_axiom_check
 from .nvspace import (
@@ -66,8 +66,6 @@ def _load_json_arg(text):
 
 
 def cmd_classify(args):
-    if not is_prime(args.p):
-        raise NearVecError(f"{args.p} is not prime")
     uc = unit_classification(args.p, args.n)
     if args.format == "tsv":
         lines = ["representative\tsize\tmembers"]
@@ -103,7 +101,7 @@ def cmd_space(args):
     action = args.action
     if action == "qk":
         desc = quasi_kernel_closed(spec)
-        out = {"spec": spec.describe(), "quasi_kernel": desc.to_json(base)}
+        out = {"spec": spec.describe(), "quasi_kernel": desc.to_json()}
         if base.is_finite:
             members = sorted(
                 materialize_quasi_kernel(spec, desc, bound=args.bound),
@@ -111,7 +109,7 @@ def cmd_space(args):
             )
             out["count"] = len(members)
             if len(members) <= MATERIALIZE_PRINT_CAP:
-                out["elements"] = [vector_to_json(base, v) for v in members]
+                out["elements"] = [vector_to_json(v) for v in members]
         _emit(out, args.format)
         return 0
     if action == "decompose":
@@ -135,7 +133,7 @@ def cmd_space(args):
             "multiplicative": ok,
             "certificates": [
                 {
-                    "vector": vector_to_json(base, v),
+                    "vector": vector_to_json(v),
                     "automorphism": None if a is None else a.describe(),
                 }
                 for v, a in sorted(certs.items(), key=lambda kv: kv[0].support)
@@ -157,10 +155,10 @@ def cmd_space(args):
         }
         if not identical:
             out["only_bruteforce"] = [
-                vector_to_json(base, v) for v in sorted(brute - closed, key=repr)
+                vector_to_json(v) for v in sorted(brute - closed, key=repr)
             ]
             out["only_closed_form"] = [
-                vector_to_json(base, v) for v in sorted(closed - brute, key=repr)
+                vector_to_json(v) for v in sorted(closed - brute, key=repr)
             ]
         _emit(out, args.format)
         return 0 if identical else 1

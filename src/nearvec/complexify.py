@@ -13,27 +13,29 @@ neither is treated as canonical.  Restricted to real inputs the extension
 agrees with the real power map, the extension has degree two with basis
 {1, preimage of i}, and squaring that basis element and adding one (in the
 induced addition) lands exactly on zero.
+
+Everything here works over the shared default bases ``REALS`` and
+``COMPLEXES``; a tolerance other than the default applies through
+``nearvec complexify --tol`` to the residual check only.
 """
 
 import random
 
 from .errors import NearVecError
 from .mult_auto import ComplexEps, RealPower
-from .nearfield import COMPLEXES, REALS, ComplexField, RealField, induced_add
+from .nearfield import COMPLEXES, REALS, RealField, induced_add
 from .nvspace import SpaceSpec, _anchor_scalar, exponent_space, in_quasi_kernel
 from .report import Report
 
 
-def real_power_auto(alpha, base: RealField = None) -> RealPower:
+def real_power_auto(alpha) -> RealPower:
     """The sign-preserving power map with the given nonzero exponent."""
-    return RealPower(REALS if base is None else base, alpha)
+    return RealPower(REALS, alpha)
 
 
-def real_power_space(sigma_exponents, rho_exponents=None, base: RealField = None) -> SpaceSpec:
+def real_power_space(sigma_exponents, rho_exponents=None) -> SpaceSpec:
     """A real space with power twists, labels "1", "2", ..."""
-    return exponent_space(
-        REALS if base is None else base, sigma_exponents, rho_exponents
-    )
+    return exponent_space(REALS, sigma_exponents, rho_exponents)
 
 
 class ComplexificationSpec:
@@ -54,22 +56,20 @@ class ComplexificationSpec:
         return {"T": list(self.T), "S": list(self.S), "conj": self.conj}
 
 
-def complexify(cspec: ComplexificationSpec, base: ComplexField = None) -> SpaceSpec:
+def complexify(cspec: ComplexificationSpec) -> SpaceSpec:
     """The complex space whose twists extend the given real power twists."""
-    base = COMPLEXES if base is None else base
     sigma, rho = {}, {}
     for k, (a, b) in enumerate(zip(cspec.T, cspec.S), start=1):
         label = str(k)
-        sigma[label] = ComplexEps(base, a, cspec.conj)
-        rho[label] = ComplexEps(base, b, cspec.conj)
-    return SpaceSpec(base, sigma, rho)
+        sigma[label] = ComplexEps(COMPLEXES, a, cspec.conj)
+        rho[label] = ComplexEps(COMPLEXES, b, cspec.conj)
+    return SpaceSpec(COMPLEXES, sigma, rho)
 
 
-def restriction_agrees(alpha, samples: int = 200, seed: int = 0, base=None) -> Report:
+def restriction_agrees(alpha, samples: int = 200, seed: int = 0) -> Report:
     """The modulus-power map agrees with the real power map on real inputs."""
-    base = COMPLEXES if base is None else base
-    eps = ComplexEps(base, alpha)
-    phi = real_power_auto(alpha, RealField(base.tolerance))
+    eps = ComplexEps(COMPLEXES, alpha)
+    phi = real_power_auto(alpha)
     rng = random.Random(seed)
     points = list(RealField.GRID)
     while len(points) < samples:
@@ -80,7 +80,7 @@ def restriction_agrees(alpha, samples: int = 200, seed: int = 0, base=None) -> R
     for x in points:
         lhs = eps.apply(complex(x))
         rhs = complex(phi.apply(x))
-        if not base.eq(lhs, rhs):
+        if not COMPLEXES.eq(lhs, rhs):
             violations.append({"x": x, "complex": [lhs.real, lhs.imag], "real": rhs.real})
     return Report(
         name="restriction_agrees",
@@ -90,60 +90,56 @@ def restriction_agrees(alpha, samples: int = 200, seed: int = 0, base=None) -> R
     )
 
 
-def decompose_over_real(z, alpha, conj=False, base=None):
+def decompose_over_real(z, alpha, conj=False):
     """Coordinates (a, b) of z over the reals inside the extended complex
     structure: z equals a plus (in the induced addition) b times the
     preimage of i.  z = 0 gives (0, 0) by convention."""
-    base = COMPLEXES if base is None else base
     if alpha == 0:
         raise NearVecError("exponent must be nonzero")
     if z == 0:
         return 0.0, 0.0
-    eps = ComplexEps(base, alpha, conj)
-    phi_inv = real_power_auto(alpha, RealField(base.tolerance)).inverse()
+    eps = ComplexEps(COMPLEXES, alpha, conj)
+    phi_inv = real_power_auto(alpha).inverse()
     w = eps.apply(complex(z))
     return phi_inv.apply(w.real), phi_inv.apply(w.imag)
 
 
-def reconstruct_from_real(a, b, alpha, conj=False, base=None):
+def reconstruct_from_real(a, b, alpha, conj=False):
     """Inverse of ``decompose_over_real``: a + (induced) b * preimage(i)."""
-    base = COMPLEXES if base is None else base
-    eps = ComplexEps(base, alpha, conj)
+    eps = ComplexEps(COMPLEXES, alpha, conj)
     imag_unit = eps.inverse().apply(1j)
-    return induced_add(base, eps, complex(a), base.mul(complex(b), imag_unit))
+    return induced_add(COMPLEXES, eps, complex(a), complex(b) * imag_unit)
 
 
-def minimal_poly_residual(alpha, conj=False, base=None) -> float:
+def minimal_poly_residual(alpha, conj=False) -> float:
     """Modulus of x*x (+)_eps 1 at x = the preimage of i; zero when the
     degree-two relation holds."""
-    base = COMPLEXES if base is None else base
-    eps = ComplexEps(base, alpha, conj)
+    eps = ComplexEps(COMPLEXES, alpha, conj)
     x = eps.inverse().apply(1j)
-    value = induced_add(base, eps, base.mul(x, x), base.one)
-    return abs(value)
+    return abs(induced_add(COMPLEXES, eps, x * x, COMPLEXES.one))
 
 
-def _additions_agree(base, auto1, auto2):
-    """First grid pair where the two induced additions differ, or None."""
-    points = base.sample_points()
+def _additions_agree(auto1, auto2):
+    """First complex grid pair where the two induced additions differ, or
+    None."""
+    points = COMPLEXES.sample_points()
     for x in points:
         for y in points:
-            lhs = induced_add(base, auto1, x, y)
-            rhs = induced_add(base, auto2, x, y)
-            if not base.eq(lhs, rhs):
+            lhs = induced_add(COMPLEXES, auto1, x, y)
+            rhs = induced_add(COMPLEXES, auto2, x, y)
+            if not COMPLEXES.eq(lhs, rhs):
                 return (x, y, lhs, rhs)
     return None
 
 
-def conj_pair_check(alpha, base=None) -> Report:
+def conj_pair_check(alpha) -> Report:
     """The plain map at alpha and the conjugating map at conj(alpha) induce
     the same addition; a deterministic unpaired exponent does not."""
-    base = COMPLEXES if base is None else base
     alpha = complex(alpha)
-    eps = ComplexEps(base, alpha, False)
-    paired = ComplexEps(base, alpha.conjugate(), True)
+    eps = ComplexEps(COMPLEXES, alpha, False)
+    paired = ComplexEps(COMPLEXES, alpha.conjugate(), True)
     violations = []
-    mismatch = _additions_agree(base, eps, paired)
+    mismatch = _additions_agree(eps, paired)
     if mismatch is not None:
         x, y, lhs, rhs = mismatch
         violations.append(
@@ -155,8 +151,8 @@ def conj_pair_check(alpha, base=None) -> Report:
             }
         )
     unpaired_alpha = alpha + 1 if alpha.real != -1 else alpha + 2
-    unpaired = ComplexEps(base, unpaired_alpha, False)
-    witness = _additions_agree(base, eps, unpaired)
+    unpaired = ComplexEps(COMPLEXES, unpaired_alpha, False)
+    witness = _additions_agree(eps, unpaired)
     if witness is None:
         violations.append({"law": "unpaired-additions-differ", "beta": str(unpaired_alpha)})
         witness_json = None
@@ -174,7 +170,7 @@ def conj_pair_check(alpha, base=None) -> Report:
     )
 
 
-def axis_quasi_kernel_report(exponents, base: RealField = None) -> Report:
+def axis_quasi_kernel_report(exponents) -> Report:
     """For pairwise distinct power exponents the quasi-kernel is the union
     of the axes: every axis vector passes membership, every sampled vector
     with larger support fails with an explicit scalar-pair witness."""
@@ -183,7 +179,7 @@ def axis_quasi_kernel_report(exponents, base: RealField = None) -> Report:
         raise NearVecError("need at least two exponents")
     if len(set(exponents)) != len(exponents):
         raise NearVecError("exponents must be pairwise distinct")
-    spec = real_power_space(exponents, base=base)
+    spec = real_power_space(exponents)
     violations = []
     axis_checked = 0
     for label in spec.index:

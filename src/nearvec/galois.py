@@ -1,8 +1,9 @@
 """Exact arithmetic for small Galois fields GF(p^n).
 
-Elements are coefficient tuples over GF(p), constant term first.  A field is
-a ``GFTable``: the monic irreducible modulus together with discrete log and
-antilog tables over a fixed generator, so products, inverses and powers are
+Elements are coefficient tuples over GF(p), constant term first.
+``gf_build(p, n)`` returns a field's tables: the monic irreducible modulus,
+the elements, and discrete log and antilog tables over a fixed generator;
+``nearfield.GaloisField`` holds them, so products, inverses and powers are
 table lookups.  Construction is deterministic:
 
 * the modulus is the first irreducible found when monic degree-n polynomials
@@ -12,7 +13,7 @@ table lookups.  Construction is deterministic:
   the coefficient tuple read as base-p digits, constant term least
   significant), whose multiplicative order is p^n - 1.
 
-Tables are immutable after construction and safe to share between threads.
+Fields beyond ``DEFAULT_MAX_ORDER`` elements are refused.
 
 The module also classifies the unit group modulo p^n - 1 into orbits under
 multiplication by p.  Two power maps x -> x^a and x -> x^b turn the field
@@ -24,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BaseMismatchError, BoundExceededError, NearVecError
+from .errors import BoundExceededError, NearVecError
 
 DEFAULT_MAX_ORDER = 1 << 16
 
@@ -145,106 +146,26 @@ class GFElement:
         return f"GFElement({list(self.coeffs)})"
 
 
-class GFTable:
-    """GF(p^n) with full discrete log/antilog tables.
-
-    Immutable; every method is a pure function of its arguments.
-    """
-
-    def __init__(self, p, n, modulus, elements, generator, log, antilog):
-        self.p = p
-        self.n = n
-        self.order = p**n
-        self.modulus = modulus
-        self.elements = elements  # integer encoding order, elements[0] = 0
-        self.generator = generator
-        self.log = log  # GFElement -> exponent in [0, p^n - 1)
-        self.antilog = antilog  # exponent -> GFElement
-        self.zero = elements[0]
-        self.one = elements[1] if self.order > 1 else elements[0]
-        self.minus_one = self.neg(self.one)
-
-    def __repr__(self):
-        return f"GFTable(p={self.p}, n={self.n})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GFTable)
-            and (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
-
-    # -- element plumbing --
-
-    def element(self, coeffs) -> GFElement:
-        c = tuple(int(x) for x in coeffs)
-        if len(c) != self.n or any(x < 0 or x >= self.p for x in c):
-            raise BaseMismatchError(f"{list(coeffs)} is not an element of {self}")
-        return GFElement(c)
-
-    def check(self, x) -> GFElement:
-        if not isinstance(x, GFElement):
-            raise BaseMismatchError(f"{x!r} is not an element of {self}")
-        return self.element(x.coeffs)
-
-    def from_int(self, k: int) -> GFElement:
-        if k < 0 or k >= self.order:
-            raise BaseMismatchError(f"integer {k} out of range for {self}")
-        c = []
-        for _ in range(self.n):
-            c.append(k % self.p)
-            k //= self.p
-        return GFElement(tuple(c))
-
-    def to_int(self, x: GFElement) -> int:
-        k = 0
-        for c in reversed(x.coeffs):
-            k = k * self.p + c
-        return k
-
-    # -- arithmetic --
-
-    def add(self, a: GFElement, b: GFElement) -> GFElement:
-        return GFElement(tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
-
-    def neg(self, a: GFElement) -> GFElement:
-        return GFElement(tuple((-x) % self.p for x in a.coeffs))
-
-    def sub(self, a: GFElement, b: GFElement) -> GFElement:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: GFElement, b: GFElement) -> GFElement:
-        if a.is_zero or b.is_zero:
-            return self.zero
-        m = self.order - 1
-        return self.antilog[(self.log[a] + self.log[b]) % m]
-
-    def inv(self, a: GFElement) -> GFElement:
-        if a.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        m = self.order - 1
-        return self.antilog[(-self.log[a]) % m]
-
-    def pow(self, a: GFElement, e: int) -> GFElement:
-        if a.is_zero:
-            if e <= 0:
-                raise ZeroDivisionError(f"0 ** {e} is undefined")
-            return self.zero
-        m = self.order - 1
-        return self.antilog[(self.log[a] * e) % m]
-
-
-def gf_build(p: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> GFTable:
-    """Build GF(p^n) tables; deterministic modulus and generator choice."""
+def _check_order(p, n):
+    """p^n for a prime p, refused beyond ``DEFAULT_MAX_ORDER`` before any
+    work that grows with p or n: the primality test costs sqrt(p) steps,
+    and p^n has n digits (p >= 2, so n beyond the bound's bit length is
+    over it)."""
+    if p > DEFAULT_MAX_ORDER or n > DEFAULT_MAX_ORDER.bit_length() or p**n > DEFAULT_MAX_ORDER:
+        raise BoundExceededError(f"p^n = {p}^{n} exceeds the bound {DEFAULT_MAX_ORDER}")
     if not is_prime(p):
         raise NearVecError(f"{p} is not prime")
+    return p**n
+
+
+def gf_build(p: int, n: int) -> tuple:
+    """The tables of GF(p^n) as (modulus, elements, generator, log,
+    antilog): elements in integer encoding order, log maps a nonzero
+    element to its exponent in [0, p^n - 1), antilog is the reverse map.
+    Deterministic modulus and generator choice."""
+    q = _check_order(p, n)
     if n < 1:
         raise NearVecError(f"degree must be positive, got {n}")
-    q = p**n
-    if q > max_order:
-        raise BoundExceededError(f"p^n = {q} exceeds the bound {max_order}")
 
     modulus = first_irreducible(p, n)
 
@@ -291,7 +212,7 @@ def gf_build(p: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> GFTable:
     if len(log) != max(m, 1):
         raise NearVecError(f"generator of GF({p}^{n}) has wrong order; table bug")
 
-    return GFTable(p, n, modulus, elements, generator, log, antilog)
+    return modulus, elements, generator, log, antilog
 
 
 @dataclass(frozen=True)
@@ -335,10 +256,9 @@ def _orbit(a, mult, m):
 
 
 def unit_classification(p: int, n: int) -> UnitClassification:
-    """Partition the units mod p^n - 1 into multiplication-by-p orbits."""
-    if not is_prime(p):
-        raise NearVecError(f"{p} is not prime")
-    q = p**n
+    """Partition the units mod p^n - 1 into multiplication-by-p orbits;
+    refused beyond ``DEFAULT_MAX_ORDER``, like the field tables."""
+    q = _check_order(p, n)
     if q < 3:
         raise NearVecError(f"p^n must be at least 3, got {q}")
     m = q - 1

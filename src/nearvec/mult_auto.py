@@ -75,7 +75,7 @@ class FinitePower(MultAuto):
         self.alpha = alpha
 
     def apply(self, x):
-        return self.base.table.pow(x, self.alpha)
+        return self.base.pow(x, self.alpha)
 
     def _inverse(self):
         m = self.base.order() - 1

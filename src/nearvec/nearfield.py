@@ -2,9 +2,11 @@
 Dickson near-field, behind one arithmetic interface.
 
 A base supplies native addition and a multiplicative group on its nonzero
-elements.  Finite bases enumerate their elements exhaustively; the real and
-complex bases compare within a relative tolerance and expose deterministic
-sample grids instead of enumeration.
+elements.  Finite bases enumerate their elements exhaustively:
+``GaloisField(p, n)`` holds the tables of ``galois.gf_build`` and does all
+finite arithmetic itself.  The real and complex bases share the float
+arithmetic of ``FloatField``, compare within a relative tolerance and
+expose deterministic sample grids instead of enumeration.
 
 Every multiplicative automorphism sigma of a base induces a second abelian
 addition  x (+)_sigma y = sigma^-1(sigma(x) + sigma(y))  which again makes
@@ -12,18 +14,20 @@ the base a near-field with the same multiplication.  ``induced_add``
 evaluates it; the verification helpers below check the algebraic laws the
 rest of the package leans on.
 
-The Dickson base couples GF(9) multiplication with the cube map: a product
-a . b stays a*b when a is a square and becomes a*b^3 when a is not.  The
-nonzero elements then form the quaternion group of order 8, addition is the
-GF(9) one, the structure is left distributive, and exactly the prime
-subfield {0, 1, 2} is right distributive.
+The Dickson base is a ``GaloisField`` on GF(9) that couples its
+multiplication with the cube map: a product a . b stays a*b when a is a
+square and becomes a*b^3 when a is not.  The nonzero elements then form
+the quaternion group of order 8, addition is the GF(9) one, the structure
+is left distributive, and exactly the prime subfield {0, 1, 2} is right
+distributive.
 """
 
 import cmath
+import itertools
 import math
 
 from .errors import BaseMismatchError, BoundExceededError, UnsupportedBaseError
-from .galois import GFTable, gf_build, same_addition_exponents
+from .galois import GFElement, gf_build, same_addition_exponents
 from .report import Report
 
 DEFAULT_TOLERANCE = 1e-9
@@ -58,9 +62,6 @@ class BaseStructure:
     def inv(self, x):
         raise NotImplementedError
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def eq(self, x, y):
         raise NotImplementedError
 
@@ -89,33 +90,74 @@ class BaseStructure:
 
 
 class GaloisField(BaseStructure):
+    """GF(p^n) on the tables of ``gf_build``: elements are ``GFElement``
+    coefficient tuples, and products, inverses and powers are discrete
+    log/antilog lookups.  Immutable; every method is a pure function of
+    its arguments."""
+
     kind = "gf"
     is_finite = True
 
-    def __init__(self, table: GFTable):
-        self.table = table
-        self.zero = table.zero
-        self.one = table.one
-        self.minus_one = table.minus_one
+    def __init__(self, p, n):
+        self.modulus, self._elements, self.generator, self.log, self.antilog = gf_build(p, n)
+        self.p = p
+        self.n = n
+        self._units = len(self._elements) - 1
+        self.zero = self._elements[0]
+        self.one = self._elements[1]
+        self.minus_one = self.neg(self.one)
 
-    @classmethod
-    def of(cls, p, n):
-        return cls(gf_build(p, n))
+    # -- element plumbing --
 
-    def check(self, x):
-        return self.table.check(x)
+    def element(self, coeffs) -> GFElement:
+        c = tuple(int(x) for x in coeffs)
+        if len(c) != self.n or any(x < 0 or x >= self.p for x in c):
+            raise BaseMismatchError(f"{list(coeffs)} is not an element of {self}")
+        return GFElement(c)
+
+    def check(self, x) -> GFElement:
+        if not isinstance(x, GFElement):
+            raise BaseMismatchError(f"{x!r} is not an element of {self}")
+        return self.element(x.coeffs)
+
+    def from_int(self, k: int) -> GFElement:
+        if k < 0 or k > self._units:
+            raise BaseMismatchError(f"integer {k} out of range for {self}")
+        return self._elements[k]
+
+    def to_int(self, x: GFElement) -> int:
+        k = 0
+        for c in reversed(x.coeffs):
+            k = k * self.p + c
+        return k
+
+    def elements(self):
+        return self._elements
+
+    # -- arithmetic --
 
     def add(self, x, y):
-        return self.table.add(x, y)
-
-    def mul(self, x, y):
-        return self.table.mul(x, y)
+        return GFElement(tuple((a + b) % self.p for a, b in zip(x.coeffs, y.coeffs)))
 
     def neg(self, x):
-        return self.table.neg(x)
+        return GFElement(tuple((-a) % self.p for a in x.coeffs))
+
+    def mul(self, x, y):
+        if x.is_zero or y.is_zero:
+            return self.zero
+        return self.antilog[(self.log[x] + self.log[y]) % self._units]
 
     def inv(self, x):
-        return self.table.inv(x)
+        if x.is_zero:
+            raise ZeroDivisionError("inverse of zero")
+        return self.antilog[(-self.log[x]) % self._units]
+
+    def pow(self, x, e: int):
+        if x.is_zero:
+            if e <= 0:
+                raise ZeroDivisionError(f"0 ** {e} is undefined")
+            return self.zero
+        return self.antilog[(self.log[x] * e) % self._units]
 
     def eq(self, x, y):
         return x == y
@@ -123,58 +165,40 @@ class GaloisField(BaseStructure):
     def is_zero(self, x):
         return x.is_zero
 
-    def elements(self):
-        return self.table.elements
-
-    def order(self):
-        return self.table.order
-
     def describe(self):
-        return {
-            "kind": "gf",
-            "p": self.table.p,
-            "n": self.table.n,
-            "modulus": list(self.table.modulus),
-        }
+        return {"kind": "gf", "p": self.p, "n": self.n, "modulus": list(self.modulus)}
 
     def __repr__(self):
-        return f"GaloisField(GF({self.table.order}))"
+        return f"GaloisField(GF({self.order()}))"
 
     def __eq__(self, other):
-        # exact type: GF(9) and its Dickson variant share a table
-        return type(self) is type(other) and self.table == other.table
+        # exact type: GF(9) and its Dickson variant share the tables
+        return type(self) is type(other) and (self.p, self.n) == (other.p, other.n)
 
     def __hash__(self):
-        return hash((self.kind, self.table))
+        return hash((self.kind, self.p, self.n))
 
 
 class Dickson9(GaloisField):
     """The order-9 Dickson near-field: the elements, addition and tables of
-    GF(9) with the coupled product."""
+    GF(9) with the coupled product.  ``pow`` stays the GF(9) power."""
 
     kind = "dickson9"
     commutative = False
 
     def __init__(self):
-        super().__init__(gf_build(3, 2))
-        t = self.table
-        self.squares = frozenset(t.mul(y, y) for y in t.elements[1:])
+        super().__init__(3, 2)
+        self.squares = frozenset(self.pow(y, 2) for y in self.nonzero_elements())
 
     def mul(self, x, y):
-        t = self.table
-        if x.is_zero or y.is_zero:
-            return t.zero
-        if x in self.squares:
-            return t.mul(x, y)
-        return t.mul(x, t.pow(y, 3))
+        return super().mul(x, y if x in self.squares else self.pow(y, 3))
 
     def inv(self, x):
-        t = self.table
+        if x in self.squares:
+            return super().inv(x)
         if x.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        if x in self.squares:
-            return t.inv(x)
-        return t.pow(x, -3)
+        return self.pow(x, -3)
 
     def describe(self):
         return {"kind": "dickson9"}
@@ -183,24 +207,18 @@ class Dickson9(GaloisField):
         return "Dickson9()"
 
 
-class RealField(BaseStructure):
-    kind = "real"
-
-    # fixed grid for sampled checks; includes negatives and mixed magnitudes
-    GRID = (-10.0, -math.e, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, math.e, 10.0)
+class FloatField(BaseStructure):
+    """Float arithmetic shared by the reals and the complexes: values
+    compare within a relative tolerance, and sampled checks run over the
+    subclass's fixed ``GRID``."""
 
     def __init__(self, tolerance=DEFAULT_TOLERANCE):
         if tolerance <= 0:
             raise BaseMismatchError("tolerance must be positive")
         self.tolerance = tolerance
-        self.zero = 0.0
-        self.one = 1.0
-        self.minus_one = -1.0
-
-    def check(self, x):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise BaseMismatchError(f"{x!r} is not a real scalar")
-        return float(x)
+        self.zero = self.check(0)
+        self.one = self.check(1)
+        self.minus_one = self.check(-1)
 
     def add(self, x, y):
         return x + y
@@ -226,70 +244,39 @@ class RealField(BaseStructure):
         return self.GRID
 
     def describe(self):
-        return {"kind": "real", "tolerance": self.tolerance}
+        return {"kind": self.kind, "tolerance": self.tolerance}
 
     def __eq__(self, other):
-        return isinstance(other, RealField) and self.tolerance == other.tolerance
+        return type(self) is type(other) and self.tolerance == other.tolerance
 
     def __hash__(self):
-        return hash(("real", self.tolerance))
+        return hash((self.kind, self.tolerance))
 
 
-class ComplexField(BaseStructure):
+class RealField(FloatField):
+    kind = "real"
+
+    # fixed grid for sampled checks; includes negatives and mixed magnitudes
+    GRID = (-10.0, -math.e, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, math.e, 10.0)
+
+    def check(self, x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise BaseMismatchError(f"{x!r} is not a real scalar")
+        return float(x)
+
+
+class ComplexField(FloatField):
     kind = "complex"
 
     MODULI = (0.5, 1.0, 2.0, math.e, 10.0)
     ARGUMENTS = (0.0, math.pi / 4, math.pi / 2, 2.0, 3.0)
-
-    def __init__(self, tolerance=DEFAULT_TOLERANCE):
-        if tolerance <= 0:
-            raise BaseMismatchError("tolerance must be positive")
-        self.tolerance = tolerance
-        self.zero = 0j
-        self.one = 1 + 0j
-        self.minus_one = -1 + 0j
-        self._grid = tuple(
-            r * cmath.exp(1j * t) for r in self.MODULI for t in self.ARGUMENTS
-        )
+    # 25 sample points: every modulus at every argument, moduli outermost
+    GRID = tuple(r * cmath.exp(1j * t) for r, t in itertools.product(MODULI, ARGUMENTS))
 
     def check(self, x):
         if isinstance(x, bool) or not isinstance(x, (int, float, complex)):
             raise BaseMismatchError(f"{x!r} is not a complex scalar")
         return complex(x)
-
-    def add(self, x, y):
-        return x + y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1.0 / x
-
-    def eq(self, x, y):
-        return abs(x - y) <= self.tolerance * max(1.0, abs(x), abs(y))
-
-    def is_zero(self, x):
-        return x == 0
-
-    def sample_points(self):
-        """25 deterministic points: moduli {0.5,1,2,e,10} x arguments
-        {0, pi/4, pi/2, 2, 3}."""
-        return self._grid
-
-    def describe(self):
-        return {"kind": "complex", "tolerance": self.tolerance}
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexField) and self.tolerance == other.tolerance
-
-    def __hash__(self):
-        return hash(("complex", self.tolerance))
 
 
 # shared default instances; most callers want these
@@ -302,15 +289,12 @@ def induced_add(base: BaseStructure, sigma, x, y):
     return sigma.inverse().apply(base.add(sigma.apply(x), sigma.apply(y)))
 
 
-def distributive_elements(base: BaseStructure, addition=None):
-    """All g with (a + b) g = a g + b g for every a, b, under the native or
-    an induced addition.  Enumerable bases only."""
+def distributive_elements(base: BaseStructure):
+    """All g with (a + b) g = a g + b g for every a, b.  Enumerable bases
+    only."""
     if not base.is_finite:
         raise UnsupportedBaseError("distributive elements need an enumerable base")
-    if addition is None:
-        add = base.add
-    else:
-        add = lambda x, y: induced_add(base, addition, x, y)  # noqa: E731
+    add = base.add
     els = base.elements()
     out = []
     for g in els:
@@ -349,7 +333,7 @@ def is_nearfield_automorphism(base: BaseStructure, f) -> bool:
     from .mult_auto import FinitePower
 
     if isinstance(f, FinitePower) and base.kind == "gf":
-        return same_addition_exponents(f.alpha, 1, base.table.p, base.table.n)
+        return same_addition_exponents(f.alpha, 1, base.p, base.n)
     els = base.elements()
     if len(els) > EXHAUSTIVE_PAIR_BOUND:
         raise BoundExceededError(

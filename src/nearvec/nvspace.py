@@ -443,15 +443,15 @@ class QKDescription:
         self.classes = classes
         self.allowed = allowed
 
-    def to_json(self, base=None):
-        from .serialize import scalar_to_json
+    def to_json(self):
+        from .serialize import json_value  # serialize imports this module
 
         allowed = {}
         for label, vals in self.allowed.items():
             if vals is None:
                 allowed[label] = "all"
             else:
-                allowed[label] = [scalar_to_json(base, v) for v in vals]
+                allowed[label] = json_value(vals)
         return {"classes": self.classes.to_json(), "allowed": allowed}
 
 

@@ -83,14 +83,14 @@ def base_from_json(obj, tolerance=None):
     obj = _record(obj, "base")
     kind = obj.get("kind")
     if kind == "gf":
-        base = GaloisField.of(_integer(obj["p"], "p"), _integer(obj["n"], "n"))
+        base = GaloisField(_integer(obj["p"], "p"), _integer(obj["n"], "n"))
         given = obj.get("modulus")
         if given is not None and [
             _integer(c, "modulus") for c in _list(given, "modulus")
-        ] != list(base.table.modulus):
+        ] != list(base.modulus):
             raise NearVecError(
                 f"modulus {given} does not match the deterministic table "
-                f"{list(base.table.modulus)}"
+                f"{list(base.modulus)}"
             )
         return base
     if kind == "dickson9":
@@ -118,13 +118,9 @@ def json_value(obj):
     return obj
 
 
-def scalar_to_json(base, x):
-    return json_value(x)
-
-
 def scalar_from_json(base, obj):
     if base.kind in ("gf", "dickson9"):
-        return base.table.element([_integer(c, "scalar") for c in _list(obj, "scalar")])
+        return base.element([_integer(c, "scalar") for c in _list(obj, "scalar")])
     if base.kind == "real":
         return _real(obj, "scalar")
     if base.kind == "complex":
@@ -171,7 +167,7 @@ def spec_from_json(obj, tolerance=None) -> SpaceSpec:
     return spec
 
 
-def vector_to_json(base, v: SparseVector):
+def vector_to_json(v: SparseVector):
     return {"entries": json_value(v)}
 
 

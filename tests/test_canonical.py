@@ -29,7 +29,7 @@ from nearvec.nvspace import (
 
 @pytest.fixture(scope="module")
 def gf5():
-    return GaloisField.of(5, 1)
+    return GaloisField(5, 1)
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +55,14 @@ def test_normal_form_rho_merges_exponents(gf5):
     target, _ = normal_form_rho(spec)
     assert target.sigma["1"].is_identity()
     assert target.rho["1"] == FinitePower(gf5, 3)
-    gf8 = GaloisField.of(2, 3)
+    gf8 = GaloisField(2, 3)
     spec8 = exponent_space(gf8, [2], [3])
     target8, _ = normal_form_rho(spec8)
     assert target8.rho["1"] == FinitePower(gf8, 6)  # 2*3 mod 7
 
 
 def test_verify_iso_passes_for_normal_forms(gf5):
-    gf4 = GaloisField.of(2, 2)
+    gf4 = GaloisField(2, 2)
     for base in (gf5, gf4):
         units = [a.alpha for a in enumerate_mult_autos(base)]
         for se in itertools.product(units, repeat=2):
@@ -92,7 +92,7 @@ def test_verify_iso_detects_corrupted_map(gf5):
     assert any(v["law"] == "additive" for v in rep.violations)
     # the same swap with a non-unit image leaves the basis-aligned path;
     # its violations hold vector pairs instead of scalar pairs
-    two = gf5.table.from_int(2)
+    two = gf5.from_int(2)
     unaligned = IsoMap(
         spec,
         target,
@@ -114,7 +114,7 @@ def test_verify_iso_detects_corrupted_map(gf5):
 
 def test_verify_iso_identity_map_full_loop(gf5):
     spec = exponent_space(gf5, [1, 3])
-    two = gf5.table.from_int(2)
+    two = gf5.from_int(2)
     # non-unit image value forces the all-pairs path
     images = {
         "1": spec.scale(two, spec.basis_vector("1")),
@@ -182,7 +182,7 @@ def test_basis_transport(gf5):
 
 
 def test_product_hypotheses(gf5, d9):
-    rep = product_hypotheses(GaloisField.of(2, 3))
+    rep = product_hypotheses(GaloisField(2, 3))
     assert rep.passed
     assert rep.details["induced_additions"] == 2
     assert rep.details["dimension_over_distributive"] == 1
@@ -202,7 +202,7 @@ def test_product_hypotheses_fd_shortcut_matches_scan(gf5):
     # exhaustive scan
     from nearvec.nearfield import distributive_elements
 
-    for base in (GaloisField.of(2, 2), gf5, GaloisField.of(3, 2)):
+    for base in (GaloisField(2, 2), gf5, GaloisField(3, 2)):
         assert len(distributive_elements(base)) == base.order()
         assert product_hypotheses(base).details["distributive_size"] == base.order()
 
@@ -221,7 +221,7 @@ def test_product_regroup_examples(gf5):
     single, part = product_regroup([a])
     assert single.dim == 2 and len(part) == 2
 
-    gf8 = GaloisField.of(2, 3)
+    gf8 = GaloisField(2, 3)
     triple, partition8 = product_regroup(
         [exponent_space(gf8, [e]) for e in (1, 2, 3)]
     )

@@ -47,6 +47,14 @@ def test_classify_rejects_composite(capsys):
     assert "error" in err
 
 
+def test_classify_rejects_beyond_table_bound(capsys):
+    # the unit walk is capped like the field tables, at 2^16 elements
+    code, out, err = run_cli(capsys, "classify", "2", "17")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bound" in err and err.count("\n") == 1
+
+
 def test_autos_inline_base(capsys):
     code, out, _ = run_cli(capsys, "autos", '{"kind":"gf","p":5,"n":1}')
     assert code == 0

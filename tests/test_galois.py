@@ -1,8 +1,11 @@
-"""Field table construction, unit classification, and exponent orbits.
+"""Field table construction and arithmetic, unit classification, and
+exponent orbits.
 
 Expected moduli and generators are recomputed here by independent brute
 force (product enumeration for irreducibility, repeated multiplication for
-element orders) before being compared with the table builder.
+element orders) before being compared with the table builder, and the
+table arithmetic of small fields is compared pair by pair with schoolbook
+polynomial arithmetic modulo the field's modulus.
 """
 
 import itertools
@@ -18,6 +21,7 @@ from nearvec.galois import (
     same_addition_exponents,
     unit_classification,
 )
+from nearvec.nearfield import GaloisField
 
 
 # -- independent oracles ----------------------------------------------------
@@ -49,6 +53,18 @@ def oracle_first_irreducible(p, n):
         if cand not in products:
             return cand
     raise AssertionError("no irreducible found")
+
+
+def schoolbook_mul(a, b, modulus, p):
+    """Product of two coefficient tuples, reduced modulo the monic modulus
+    by long division."""
+    n = len(modulus) - 1
+    prod = list(poly_mul_mod_p(a, b, p))
+    for top in range(len(prod) - 1, n - 1, -1):
+        lead = prod[top]
+        for i, c in enumerate(modulus):
+            prod[top - n + i] = (prod[top - n + i] - lead * c) % p
+    return tuple(prod[:n])
 
 
 def oracle_element_order(table, x):
@@ -83,22 +99,22 @@ def oracle_orbit_count(p, n):
     [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (3, 3)],
 )
 def test_modulus_matches_independent_scan(p, n):
-    assert gf_build(p, n).modulus == oracle_first_irreducible(p, n)
+    assert GaloisField(p, n).modulus == oracle_first_irreducible(p, n)
 
 
 def test_modulus_examples():
-    assert gf_build(5, 1).modulus == (0, 1)
-    assert gf_build(2, 2).modulus == (1, 1, 1)
-    assert gf_build(3, 2).modulus == (1, 0, 1)
+    assert GaloisField(5, 1).modulus == (0, 1)
+    assert GaloisField(2, 2).modulus == (1, 1, 1)
+    assert GaloisField(3, 2).modulus == (1, 0, 1)
 
 
 def test_generator_examples():
-    t5 = gf_build(5, 1)
+    t5 = GaloisField(5, 1)
     assert t5.generator == t5.from_int(2)
-    t9 = gf_build(3, 2)
+    t9 = GaloisField(3, 2)
     assert t9.generator == t9.element((1, 1))
-    for t in (t5, t9, gf_build(2, 3)):
-        assert oracle_element_order(t, t.generator) == t.order - 1
+    for t in (t5, t9, GaloisField(2, 3)):
+        assert oracle_element_order(t, t.generator) == t.order() - 1
 
 
 def test_build_rejects_bad_input():
@@ -108,40 +124,43 @@ def test_build_rejects_bad_input():
         gf_build(2, 0)
     with pytest.raises(BoundExceededError):
         gf_build(2, 17)
-    gf_build(2, 5, max_order=32)
-    with pytest.raises(BoundExceededError):
-        gf_build(2, 6, max_order=32)
+
+
+def test_bound_comes_before_primality():
+    # trial division of this prime would run for minutes
+    for build in (gf_build, unit_classification):
+        with pytest.raises(BoundExceededError):
+            build(2**61 - 1, 1)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 3), (13, 1)])
 def test_log_antilog_roundtrip(p, n):
-    t = gf_build(p, n)
-    for x in t.elements[1:]:
+    t = GaloisField(p, n)
+    for x in t.nonzero_elements():
         assert t.antilog[t.log[x]] == x
-    assert t.log[t.generator] == 1 or t.order == 2
+    assert t.log[t.generator] == 1 or t.order() == 2
 
 
 def test_mul_examples():
-    t5 = gf_build(5, 1)
+    t5 = GaloisField(5, 1)
     assert t5.mul(t5.from_int(2), t5.from_int(3)) == t5.one
-    t4 = gf_build(2, 2)
+    t4 = GaloisField(2, 2)
     x = t4.element((0, 1))
     assert t4.mul(x, x) == t4.element((1, 1))
     for t in (t4, t5):
-        for a in t.elements:
+        for a in t.elements():
             assert t.mul(a, t.one) == a
 
 
 def test_pow_examples_and_edge_cases():
-    t5 = gf_build(5, 1)
+    t5 = GaloisField(5, 1)
     assert t5.pow(t5.from_int(2), 3) == t5.from_int(3)
-    t7 = gf_build(7, 1)
+    t7 = GaloisField(7, 1)
     assert t7.pow(t7.from_int(2), 5) == t7.from_int(4)
     for t in (t5, t7):
-        for a in t.elements:
-            if not a.is_zero:
-                assert t.pow(a, 1) == a
-                assert t.pow(a, t.order - 1) == t.one
+        for a in t.nonzero_elements():
+            assert t.pow(a, 1) == a
+            assert t.pow(a, t.order() - 1) == t.one
         assert t.pow(t.zero, 2) == t.zero
         with pytest.raises(ZeroDivisionError):
             t.pow(t.zero, 0)
@@ -150,14 +169,51 @@ def test_pow_examples_and_edge_cases():
 
 
 def test_pow_negative_exponent_inverts():
-    t7 = gf_build(7, 1)
+    t7 = GaloisField(7, 1)
     three = t7.from_int(3)
     assert t7.mul(t7.pow(three, -1), three) == t7.one
     assert t7.inv(three) == t7.from_int(5)
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_arithmetic_matches_schoolbook(p, n):
+    field = GaloisField(p, n)
+    q = p**n
+    els = field.elements()
+    assert [x.coeffs for x in els] == [
+        tuple(k // p**i % p for i in range(n)) for k in range(q)
+    ]
+    one = GFElement((1,) + (0,) * (n - 1))
+    assert field.one == one
+
+    def mul(x, y):
+        return GFElement(schoolbook_mul(x.coeffs, y.coeffs, field.modulus, p))
+
+    for x in els:
+        assert field.neg(x) == GFElement(tuple(-c % p for c in x.coeffs))
+        for y in els:
+            assert field.add(x, y) == GFElement(
+                tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))
+            )
+            assert field.mul(x, y) == mul(x, y)
+        if x.is_zero:
+            for e in range(1, q + 1):
+                assert field.pow(x, e) == x
+            for e in range(-2, 1):
+                with pytest.raises(ZeroDivisionError):
+                    field.pow(x, e)
+            continue
+        assert mul(x, field.inv(x)) == one
+        power = one  # x^e by repeated schoolbook products
+        for e in range(q + 1):
+            assert field.pow(x, e) == power
+            if e in (1, 2):
+                assert mul(field.pow(x, -e), power) == one
+            power = mul(power, x)
+
+
 def test_element_validation():
-    t4 = gf_build(2, 2)
+    t4 = GaloisField(2, 2)
     with pytest.raises(NearVecError):
         t4.element((1,))
     with pytest.raises(NearVecError):

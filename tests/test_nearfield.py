@@ -29,7 +29,7 @@ from nearvec.nearfield import (
 
 @pytest.fixture(scope="module")
 def gf5():
-    return GaloisField.of(5, 1)
+    return GaloisField(5, 1)
 
 
 @pytest.fixture(scope="module")
@@ -38,17 +38,17 @@ def d9():
 
 
 def test_native_arithmetic(gf5):
-    two, four = gf5.table.from_int(2), gf5.table.from_int(4)
+    two, four = gf5.from_int(2), gf5.from_int(4)
     assert gf5.add(two, four) == gf5.one
     assert gf5.add(two, gf5.zero) == two
     assert REALS.add(1.5, 2.5) == 4.0
-    gf7 = GaloisField.of(7, 1)
-    assert gf7.inv(gf7.table.from_int(3)) == gf7.table.from_int(5)
+    gf7 = GaloisField(7, 1)
+    assert gf7.inv(gf7.from_int(3)) == gf7.from_int(5)
     assert gf5.inv(gf5.one) == gf5.one
 
 
 def test_check_rejects_foreign_scalars(gf5):
-    gf4 = GaloisField.of(2, 2)
+    gf4 = GaloisField(2, 2)
     with pytest.raises(BaseMismatchError):
         gf5.check(gf4.one)
     with pytest.raises(BaseMismatchError):
@@ -61,7 +61,7 @@ def test_check_rejects_foreign_scalars(gf5):
 
 @pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (7, 1), (3, 2)])
 def test_scalar_group_axioms_fields(p, n):
-    report = scalar_group_axiom_check(GaloisField.of(p, n))
+    report = scalar_group_axiom_check(GaloisField(p, n))
     assert report.passed
     if p == 2:
         assert report.details["char2"]
@@ -77,7 +77,7 @@ def test_scalar_group_axioms_needs_finite():
 
 
 def test_dickson_multiplication_structure(d9):
-    t = d9.table
+    t = GaloisField(3, 2)  # the plain GF(9) product on the same elements
     els = d9.elements()
     nz = d9.nonzero_elements()
     # coupled product: squares multiply plainly, non-squares cube the
@@ -104,9 +104,8 @@ def test_dickson_multiplication_structure(d9):
 
 def test_distributive_elements(gf5, d9):
     assert len(distributive_elements(gf5)) == 5
-    assert len(distributive_elements(gf5, FinitePower(gf5, 3))) == 5
     fd = distributive_elements(d9)
-    assert [d9.table.to_int(x) for x in fd] == [0, 1, 2]
+    assert [d9.to_int(x) for x in fd] == [0, 1, 2]
     with pytest.raises(UnsupportedBaseError):
         distributive_elements(REALS)
 
@@ -114,7 +113,7 @@ def test_distributive_elements(gf5, d9):
 def test_induced_add_examples(gf5):
     s3 = FinitePower(gf5, 3)
     one = gf5.one
-    assert induced_add(gf5, s3, one, one) == gf5.table.from_int(3)
+    assert induced_add(gf5, s3, one, one) == gf5.from_int(3)
     ident = identity_auto(gf5)
     for x in gf5.elements():
         for y in gf5.elements():
@@ -166,7 +165,7 @@ def test_induced_left_distributivity(d9):
 
 
 def test_is_nearfield_automorphism_examples(gf5):
-    gf8 = GaloisField.of(2, 3)
+    gf8 = GaloisField(2, 3)
     assert is_nearfield_automorphism(gf8, FinitePower(gf8, 2))
     assert not is_nearfield_automorphism(gf5, FinitePower(gf5, 3))
     assert is_nearfield_automorphism(REALS, RealPower(REALS, 1.0))
@@ -178,7 +177,7 @@ def test_is_nearfield_automorphism_examples(gf5):
 
 @pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_power_map_fast_path_matches_exhaustive(p, n):
-    base = GaloisField.of(p, n)
+    base = GaloisField(p, n)
     els = base.elements()
     for auto in enumerate_mult_autos(base):
         exhaustive = all(
@@ -207,12 +206,12 @@ def test_real_complex_eq_is_relative():
 
 
 def test_base_equality_and_describe(gf5, d9):
-    assert gf5 == GaloisField.of(5, 1)
-    assert gf5 != GaloisField.of(7, 1)
+    assert gf5 == GaloisField(5, 1)
+    assert gf5 != GaloisField(7, 1)
     assert d9 == Dickson9()
     # same table, different product: never equal, in either order
-    assert GaloisField.of(3, 2) != d9 and d9 != GaloisField.of(3, 2)
-    assert not GaloisField.of(3, 2).__eq__(d9) and not d9.__eq__(GaloisField.of(3, 2))
+    assert GaloisField(3, 2) != d9 and d9 != GaloisField(3, 2)
+    assert not GaloisField(3, 2).__eq__(d9) and not d9.__eq__(GaloisField(3, 2))
     assert RealField() == RealField()
     assert RealField(1e-6) != RealField(1e-9)
     assert gf5.describe() == {"kind": "gf", "p": 5, "n": 1, "modulus": [0, 1]}

@@ -1,8 +1,8 @@
 """Property tests on random small spaces and automorphisms: single-vector
 membership agrees with the brute-force quasi-kernel, every
 multiplicativity certificate reproduces the anchored addition it
-certifies, and composition, inversion and the JSON forms of automorphisms
-obey their laws."""
+certifies, composition, inversion and the JSON forms of automorphisms
+obey their laws, and spaces and vectors survive their JSON forms."""
 
 import functools
 import json
@@ -24,15 +24,17 @@ from nearvec.mult_auto import (
 )
 from nearvec.nearfield import COMPLEXES, REALS, Dickson9, GaloisField, induced_add
 from nearvec.nvspace import SpaceSpec, anchored_add, in_quasi_kernel, quasi_kernel_bruteforce
-from nearvec.serialize import auto_from_json
+from nearvec.serialize import auto_from_json, spec_from_json, vector_from_json, vector_to_json
 
 # deterministic examples, capped so the whole file stays within a few seconds
 PROPERTY_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
 COMPOSE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
-FIELDS = {(p, n): GaloisField.of(p, n) for p, n in ((2, 2), (7, 1), (2, 3), (3, 2))}
+FIELDS = {(p, n): GaloisField(p, n) for p, n in ((2, 2), (7, 1), (2, 3), (3, 2))}
 D9 = Dickson9()
 LISTED = {base: enumerate_mult_autos(base) for base in (FIELDS[2, 3], FIELDS[3, 2], D9)}
+GF4_AUTOS = enumerate_mult_autos(FIELDS[2, 2])
+JSON_BASES = (FIELDS[2, 2], FIELDS[3, 2], D9, REALS, COMPLEXES)
 # dyadic exponent parts, so products and inverses of the real and complex
 # families are exact and law checks can compare with ==
 DYADIC = (-2.0, -0.5, 0.5, 1.0, 2.0, 4.0)
@@ -79,6 +81,23 @@ def three_autos(draw):
     """A base and three automorphisms of it."""
     base = draw(st.sampled_from([*LISTED, REALS, COMPLEXES]))
     return base, [draw(autos_over(base)) for _ in range(3)]
+
+
+@st.composite
+def json_specs(draw):
+    """A 1-3-label space over GF(4) (power maps), GF(9) or Dickson9 (every
+    form ``finite_auto`` draws), the reals or the complexes, with a vector
+    of it."""
+    base = draw(st.sampled_from(JSON_BASES))
+    autos = st.sampled_from(GF4_AUTOS) if base == FIELDS[2, 2] else autos_over(base)
+    labels = [str(k) for k in range(1, draw(st.integers(1, 3)) + 1)]
+    spec = SpaceSpec(base, {k: draw(autos) for k in labels}, {k: draw(autos) for k in labels})
+    if base.is_finite:
+        scalar = st.sampled_from(base.elements())
+    else:
+        real = st.floats(-1e6, 1e6)
+        scalar = real if base == REALS else st.builds(complex, real, real)
+    return spec, spec.vector({k: draw(scalar) for k in labels})
 
 
 @st.composite
@@ -161,3 +180,13 @@ def test_comp_record_is_folded_compose(case, k):
     assert decoded == functools.reduce(compose, factors, identity_auto(base))
     for x in base.sample_points():
         assert base.eq(decoded.apply(x), applied(factors, x))
+
+
+@COMPOSE_SETTINGS
+@given(json_specs())
+def test_spec_and_vector_json_round_trip(case):
+    spec, v = case
+    blob = spec.describe()
+    again = spec_from_json(json.loads(json.dumps(blob)))
+    assert again.describe() == blob
+    assert vector_from_json(again, json.loads(json.dumps(vector_to_json(v)))) == v
