@@ -22,9 +22,8 @@ import random
 from .errors import BoundExceededError, NearVecError, UnsupportedBaseError
 from .galois import unit_classification
 from .mult_auto import enumerate_mult_autos, identity_auto, same_addition
-from .nearfield import distributive_elements, induced_add
+from .nearfield import DEFAULT_BRUTE_BOUND, distributive_elements, induced_add
 from .nvspace import (
-    DEFAULT_BRUTE_BOUND,
     SparseVector,
     SpaceSpec,
     coproduct,
@@ -78,28 +77,26 @@ class IsoMap:
         return f"IsoMap({self.source!r} -> {self.target!r})"
 
 
-def normal_form_sigma(spec: SpaceSpec):
-    """Equivalent space with every twist folded into the addition tuple."""
-    ident = identity_auto(spec.base)
-    target = SpaceSpec(
-        spec.base,
-        {k: spec.theta(k) for k in spec.index},
-        {k: ident for k in spec.index},
-    )
+def _normal_form(spec: SpaceSpec, into_sigma: bool):
+    """The space with every combined twist theta_i in the addition tuple
+    (``into_sigma``) or in the action tuple, the other tuple identity, and
+    the basis-to-basis map onto it."""
+    twists = {k: spec.theta(k) for k in spec.index}
+    plain = dict.fromkeys(spec.index, identity_auto(spec.base))
+    sigma, rho = (twists, plain) if into_sigma else (plain, twists)
+    target = SpaceSpec(spec.base, sigma, rho)
     images = {k: target.basis_vector(k) for k in spec.index}
     return target, IsoMap(spec, target, images)
+
+
+def normal_form_sigma(spec: SpaceSpec):
+    """Equivalent space with every twist folded into the addition tuple."""
+    return _normal_form(spec, into_sigma=True)
 
 
 def normal_form_rho(spec: SpaceSpec):
     """Equivalent space with every twist folded into the action tuple."""
-    ident = identity_auto(spec.base)
-    target = SpaceSpec(
-        spec.base,
-        {k: ident for k in spec.index},
-        {k: spec.theta(k) for k in spec.index},
-    )
-    images = {k: target.basis_vector(k) for k in spec.index}
-    return target, IsoMap(spec, target, images)
+    return _normal_form(spec, into_sigma=False)
 
 
 def _aligned_component_check(m: IsoMap):

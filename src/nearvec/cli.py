@@ -32,7 +32,7 @@ from .complexify import (
 from .errors import NearVecError
 from .galois import unit_classification
 from .mult_auto import enumerate_mult_autos, mult_properties_check, same_addition
-from .nearfield import distributive_elements, scalar_group_axiom_check
+from .nearfield import DEFAULT_BRUTE_BOUND, distributive_elements, scalar_group_axiom_check
 from .nvspace import (
     decomposition_classes,
     first_representative_classes,
@@ -221,8 +221,8 @@ def cmd_check_base(args):
     base = base_from_json(_load_json_arg(args.base), tolerance=args.tol)
     out = {"base": base.describe()}
     if base.is_finite:
-        gate = scalar_group_axiom_check(base)
-        out["distributive_size"] = len(distributive_elements(base))
+        gate = scalar_group_axiom_check(base, bound=args.bound)
+        out["distributive_size"] = len(distributive_elements(base, bound=args.bound))
     else:
         gate = _sampled_scalar_laws(base)
     out["reports"] = [gate.to_json()]
@@ -238,7 +238,7 @@ def build_parser():
     shared.add_argument("--tol", type=float, default=None, help="numeric tolerance")
     shared.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     shared.add_argument(
-        "--bound", type=int, default=10**6, help="size cap for exhaustive sweeps"
+        "--bound", type=int, default=DEFAULT_BRUTE_BOUND, help="size cap for exhaustive sweeps"
     )
 
     parser = argparse.ArgumentParser(

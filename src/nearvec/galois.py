@@ -1,6 +1,7 @@
 """Exact arithmetic for small Galois fields GF(p^n).
 
-Elements are coefficient tuples over GF(p), constant term first.
+Elements are ``GFElement`` coefficient tuples over GF(p), constant term
+first; they hash and compare as the plain tuple of their residues.
 ``gf_build(p, n)`` returns a field's tables: the monic irreducible modulus,
 the elements, and discrete log and antilog tables over a fixed generator;
 ``nearfield.GaloisField`` holds them, so products, inverses and powers are
@@ -132,18 +133,22 @@ def first_irreducible(p: int, n: int) -> tuple:
     raise NearVecError(f"no irreducible polynomial of degree {n} over GF({p})")
 
 
-@dataclass(frozen=True)
-class GFElement:
-    """A field element as a tuple of n residues mod p, constant term first."""
+class GFElement(tuple):
+    """A field element: the tuple of its n residues mod p, constant term
+    first.  It hashes and compares as that plain tuple."""
 
-    coeffs: tuple
+    __slots__ = ()
+
+    @property
+    def coeffs(self):
+        return tuple(self)
 
     @property
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self)
 
     def __repr__(self):
-        return f"GFElement({list(self.coeffs)})"
+        return f"GFElement({list(self)})"
 
 
 def _check_order(p, n):
@@ -174,15 +179,15 @@ def gf_build(p: int, n: int) -> tuple:
         for _ in range(n):
             c.append(k % p)
             k //= p
-        return GFElement(tuple(c))
+        return GFElement(c)
 
     elements = tuple(encode(k) for k in range(q))
 
     def raw_mul(a, b):
-        return _poly_mod(_poly_mul(_trim(a.coeffs), _trim(b.coeffs), p), modulus, p)
+        return _poly_mod(_poly_mul(_trim(a), _trim(b), p), modulus, p)
 
     def pad(c):
-        return GFElement(tuple(c) + (0,) * (n - len(c)))
+        return GFElement(c + (0,) * (n - len(c)))
 
     m = q - 1
     factors = prime_factors(m) if m > 1 else []
@@ -193,7 +198,7 @@ def gf_build(p: int, n: int) -> tuple:
             break
         ok = True
         for f in factors:
-            if pad(_poly_powmod(_trim(cand.coeffs), m // f, modulus, p)).coeffs == elements[1].coeffs:
+            if pad(_poly_powmod(_trim(cand), m // f, modulus, p)) == elements[1]:
                 ok = False
                 break
         if ok:

@@ -11,6 +11,11 @@ addition unchanged (see ``same_addition``).  The concrete families are
 * ``PermAuto``      an explicit multiplicative bijection of a finite base;
 * ``InnerAuto``     conjugation x -> g^-1 x g, trivial on commutative bases.
 
+Each family states its parameters once, in ``_params``; ``MultAuto``
+derives equality (same family, same base, same parameters), hashing and
+repr from them.  ``POWER_FAMILIES`` names the power family of each base
+kind that has one, which also gives that base's identity.
+
 Composition and inversion stay inside these families, so ``compose``
 returns one of them and never a chain: power exponents merge, complex
 parameters merge through a small closed form, inner twists merge, and any
@@ -29,7 +34,8 @@ from .report import Report
 
 
 class MultAuto:
-    """Common behaviour: application, memoized inversion, identity test."""
+    """Common behaviour: application, memoized inversion, identity test, and
+    equality, hashing and repr from the family's parameters."""
 
     def __init__(self, base: BaseStructure):
         self.base = base
@@ -54,8 +60,25 @@ class MultAuto:
     def describe(self):
         raise NotImplementedError
 
+    def _params(self):
+        """The parameters that fix the map within its family and base."""
+        raise NotImplementedError
+
     def __call__(self, x):
         return self.apply(x)
+
+    def __eq__(self, other):
+        return (
+            type(self) is type(other)
+            and self.base == other.base
+            and self._params() == other._params()
+        )
+
+    def __hash__(self):
+        return hash((type(self), self.base, self._params()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._params()))})"
 
 
 class FinitePower(MultAuto):
@@ -66,22 +89,16 @@ class FinitePower(MultAuto):
             raise BaseMismatchError("FinitePower needs a Galois field base")
         super().__init__(base)
         m = base.order() - 1
-        if m <= 1:
-            self.alpha = 1
-            return
-        alpha %= m
-        if gcd(alpha, m) != 1:
+        # the residue in [1, m]: on GF(2), m = 1 and every exponent is 1
+        self.alpha = alpha % m or m
+        if gcd(self.alpha, m) != 1:
             raise NearVecError(f"exponent {alpha} is not a unit mod {m}")
-        self.alpha = alpha
 
     def apply(self, x):
         return self.base.pow(x, self.alpha)
 
     def _inverse(self):
-        m = self.base.order() - 1
-        if m <= 1:
-            return FinitePower(self.base, 1)
-        return FinitePower(self.base, pow(self.alpha, -1, m))
+        return FinitePower(self.base, pow(self.alpha, -1, self.base.order() - 1))
 
     def is_identity(self):
         return self.alpha == 1
@@ -89,18 +106,8 @@ class FinitePower(MultAuto):
     def describe(self):
         return {"kind": "fpow", "alpha": self.alpha}
 
-    def __repr__(self):
-        return f"FinitePower({self.alpha})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinitePower)
-            and self.base == other.base
-            and self.alpha == other.alpha
-        )
-
-    def __hash__(self):
-        return hash(("fpow", self.base, self.alpha))
+    def _params(self):
+        return (self.alpha,)
 
 
 class RealPower(MultAuto):
@@ -130,18 +137,8 @@ class RealPower(MultAuto):
     def describe(self):
         return {"kind": "rpow", "alpha": self.alpha}
 
-    def __repr__(self):
-        return f"RealPower({self.alpha})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RealPower)
-            and self.base == other.base
-            and self.alpha == other.alpha
-        )
-
-    def __hash__(self):
-        return hash(("rpow", self.base, self.alpha))
+    def _params(self):
+        return (self.alpha,)
 
 
 class ComplexEps(MultAuto):
@@ -187,18 +184,8 @@ class ComplexEps(MultAuto):
             "conj": self.conj,
         }
 
-    def __repr__(self):
-        return f"ComplexEps({self.alpha}, conj={self.conj})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComplexEps)
-            and self.base == other.base
-            and (self.alpha, self.conj) == (other.alpha, other.conj)
-        )
-
-    def __hash__(self):
-        return hash(("ceps", self.base, self.alpha, self.conj))
+    def _params(self):
+        return (self.alpha, self.conj)
 
 
 class PermAuto(MultAuto):
@@ -210,7 +197,8 @@ class PermAuto(MultAuto):
             raise BaseMismatchError("PermAuto needs a finite base")
         super().__init__(base)
         els = base.elements()
-        table = dict(table)
+        # check refuses plain tuples, which compare equal to field elements
+        table = {base.check(x): base.check(y) for x, y in dict(table).items()}
         if set(table) != set(els) or set(table.values()) != set(els):
             raise NearVecError("permutation table must be a bijection of the base")
         if table[base.zero] != base.zero or table[base.one] != base.one:
@@ -234,26 +222,13 @@ class PermAuto(MultAuto):
         return all(k == v for k, v in self.table.items())
 
     def describe(self):
-        els = self.base.elements()
-        return {
-            "kind": "perm",
-            "table": [
-                [list(x.coeffs), list(self.table[x].coeffs)] for x in els
-            ],
-        }
+        from .serialize import json_value  # serialize imports this module
 
-    def __repr__(self):
-        return f"PermAuto({self._signature!r})"
+        table = [[x, self.table[x]] for x in self.base.elements()]
+        return {"kind": "perm", "table": json_value(table)}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PermAuto)
-            and self.base == other.base
-            and self._signature == other._signature
-        )
-
-    def __hash__(self):
-        return hash(("perm", self.base, self._signature))
+    def _params(self):
+        return (self._signature,)
 
 
 class InnerAuto(MultAuto):
@@ -285,27 +260,18 @@ class InnerAuto(MultAuto):
 
         return {"kind": "inner", "gamma": json_value(self.gamma)}
 
-    def __repr__(self):
-        return f"InnerAuto({self.gamma!r})"
+    def _params(self):
+        return (self.gamma,)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, InnerAuto)
-            and self.base == other.base
-            and self.gamma == other.gamma
-        )
 
-    def __hash__(self):
-        return hash(("inner", self.base, self.gamma))
+# the power-map family of each base kind that has one
+POWER_FAMILIES = {"gf": FinitePower, "real": RealPower, "complex": ComplexEps}
 
 
 def identity_auto(base: BaseStructure) -> MultAuto:
-    if base.kind == "gf":
-        return FinitePower(base, 1)
-    if base.kind == "real":
-        return RealPower(base, 1.0)
-    if base.kind == "complex":
-        return ComplexEps(base, 1.0)
+    family = POWER_FAMILIES.get(base.kind)
+    if family is not None:
+        return family(base, 1)
     if base.is_finite:
         return PermAuto(base, {x: x for x in base.elements()})
     raise UnsupportedBaseError(f"no identity automorphism for {base!r}")
@@ -368,9 +334,7 @@ def enumerate_mult_autos(base: BaseStructure) -> list:
         raise UnsupportedBaseError("only finite bases are enumerable")
     if base.kind == "gf":
         m = base.order() - 1
-        if m <= 1:
-            return [FinitePower(base, 1)]
-        return [FinitePower(base, a) for a in range(1, m) if gcd(a, m) == 1]
+        return [FinitePower(base, a) for a in range(1, m + 1) if gcd(a, m) == 1]
 
     els = base.elements()
     nonzero = base.nonzero_elements()
@@ -412,33 +376,17 @@ def enumerate_mult_autos(base: BaseStructure) -> list:
 
 
 def mult_properties_check(auto: MultAuto, samples: int = 1000, seed: int = 0) -> Report:
-    """Verify the automorphism laws: 0 and 1 fixed, negation and inversion
-    respected, products preserved.  Exhaustive on finite bases, sampled
-    within tolerance elsewhere."""
+    """Verify the automorphism laws: 0 and 1 fixed, a bijection (finite
+    bases), negation and inversion respected, products preserved.  Finite
+    bases are checked on every element and pair; the others on their grid
+    plus ``samples`` seeded draws and ``samples`` drawn pairs, within
+    tolerance.  A nonzero element sent to zero breaks the inversion law."""
     base = auto.base
-    violations = []
+    f, eq = auto.apply, base.eq
     if base.is_finite:
-        els = base.elements()
-        if not base.is_zero(auto.apply(base.zero)):
-            violations.append({"law": "fixes-zero"})
-        if auto.apply(base.one) != base.one:
-            violations.append({"law": "fixes-one"})
-        if len({auto.apply(x) for x in els}) != len(els):
-            violations.append({"law": "bijective"})
-        for x in els:
-            if auto.apply(base.neg(x)) != base.neg(auto.apply(x)):
-                violations.append({"law": "negation", "x": x})
-            if not base.is_zero(x) and auto.apply(base.inv(x)) != base.inv(
-                auto.apply(x)
-            ):
-                violations.append({"law": "inversion", "x": x})
-        for x in els:
-            for y in els:
-                if auto.apply(base.mul(x, y)) != base.mul(
-                    auto.apply(x), auto.apply(y)
-                ):
-                    violations.append({"law": "product", "pair": (x, y)})
-        checked = len(els) ** 2
+        points = base.elements()
+        pairs = itertools.product(points, repeat=2)
+        checked = len(points) ** 2
     else:
         rng = random.Random(seed)
 
@@ -452,21 +400,26 @@ def mult_properties_check(auto: MultAuto, samples: int = 1000, seed: int = 0) ->
                     return x
 
         points = list(base.sample_points()) + [draw() for _ in range(samples)]
-        if auto.apply(base.zero) != base.zero:
-            violations.append({"law": "fixes-zero"})
-        if not base.eq(auto.apply(base.one), base.one):
-            violations.append({"law": "fixes-one"})
-        for x in points:
-            if not base.eq(auto.apply(base.neg(x)), base.neg(auto.apply(x))):
-                violations.append({"law": "negation", "x": x})
-            if not base.eq(auto.apply(base.inv(x)), base.inv(auto.apply(x))):
-                violations.append({"law": "inversion", "x": x})
-        checked = 0
-        for _ in range(samples):
-            x, y = draw(), draw()
-            if not base.eq(auto.apply(base.mul(x, y)), base.mul(auto.apply(x), auto.apply(y))):
-                violations.append({"law": "product", "pair": (x, y)})
-            checked += 1
+        pairs = [(draw(), draw()) for _ in range(samples)]
+        checked = samples
+    violations = []
+    if not base.is_zero(f(base.zero)):
+        violations.append({"law": "fixes-zero"})
+    if not eq(f(base.one), base.one):
+        violations.append({"law": "fixes-one"})
+    if base.is_finite and len({f(x) for x in points}) != len(points):
+        violations.append({"law": "bijective"})
+    for x in points:
+        fx = f(x)
+        if not eq(f(base.neg(x)), base.neg(fx)):
+            violations.append({"law": "negation", "x": x})
+        if not base.is_zero(x) and (
+            base.is_zero(fx) or not eq(f(base.inv(x)), base.inv(fx))
+        ):
+            violations.append({"law": "inversion", "x": x})
+    for x, y in pairs:
+        if not eq(f(base.mul(x, y)), base.mul(f(x), f(y))):
+            violations.append({"law": "product", "pair": (x, y)})
     return Report(
         name="mult_properties",
         passed=not violations,

@@ -16,10 +16,10 @@ rest of the package leans on.
 
 The Dickson base is a ``GaloisField`` on GF(9) that couples its
 multiplication with the cube map: a product a . b stays a*b when a is a
-square and becomes a*b^3 when a is not.  The nonzero elements then form
-the quaternion group of order 8, addition is the GF(9) one, the structure
-is left distributive, and exactly the prime subfield {0, 1, 2} is right
-distributive.
+square (an even power of the generator) and becomes a*b^3 when a is not.
+The nonzero elements then form the quaternion group of order 8, addition
+is the GF(9) one, the structure is left distributive, and exactly the
+prime subfield {0, 1, 2} is right distributive.
 """
 
 import cmath
@@ -31,6 +31,10 @@ from .galois import GFElement, gf_build, same_addition_exponents
 from .report import Report
 
 DEFAULT_TOLERANCE = 1e-9
+
+# default cap on the work of an exhaustive sweep: vectors, vector pairs or
+# element triples, whichever the sweep enumerates
+DEFAULT_BRUTE_BOUND = 10**6
 
 # additivity of an arbitrary bijection is checked pairwise; beyond this many
 # elements only power maps (which have an exact criterion) are accepted
@@ -110,15 +114,20 @@ class GaloisField(BaseStructure):
     # -- element plumbing --
 
     def element(self, coeffs) -> GFElement:
-        c = tuple(int(x) for x in coeffs)
+        c = GFElement(int(x) for x in coeffs)
         if len(c) != self.n or any(x < 0 or x >= self.p for x in c):
             raise BaseMismatchError(f"{list(coeffs)} is not an element of {self}")
-        return GFElement(c)
+        return c
 
     def check(self, x) -> GFElement:
-        if not isinstance(x, GFElement):
-            raise BaseMismatchError(f"{x!r} is not an element of {self}")
-        return self.element(x.coeffs)
+        """The field's own element equal to the ``GFElement`` x; plain
+        tuples are refused even though they compare equal."""
+        if isinstance(x, GFElement):
+            if x == self.zero:
+                return self.zero
+            if x in self.log:
+                return self.antilog[self.log[x]]
+        raise BaseMismatchError(f"{x!r} is not an element of {self}")
 
     def from_int(self, k: int) -> GFElement:
         if k < 0 or k > self._units:
@@ -127,7 +136,7 @@ class GaloisField(BaseStructure):
 
     def to_int(self, x: GFElement) -> int:
         k = 0
-        for c in reversed(x.coeffs):
+        for c in reversed(x):
             k = k * self.p + c
         return k
 
@@ -137,33 +146,33 @@ class GaloisField(BaseStructure):
     # -- arithmetic --
 
     def add(self, x, y):
-        return GFElement(tuple((a + b) % self.p for a, b in zip(x.coeffs, y.coeffs)))
+        return GFElement((a + b) % self.p for a, b in zip(x, y))
 
     def neg(self, x):
-        return GFElement(tuple((-a) % self.p for a in x.coeffs))
+        return GFElement(-a % self.p for a in x)
 
     def mul(self, x, y):
-        if x.is_zero or y.is_zero:
+        if x == self.zero or y == self.zero:
             return self.zero
         return self.antilog[(self.log[x] + self.log[y]) % self._units]
 
     def inv(self, x):
-        if x.is_zero:
+        if x == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        return self.antilog[(-self.log[x]) % self._units]
+        return self.antilog[-self.log[x] % self._units]
 
     def pow(self, x, e: int):
-        if x.is_zero:
+        if x == self.zero:
             if e <= 0:
                 raise ZeroDivisionError(f"0 ** {e} is undefined")
             return self.zero
-        return self.antilog[(self.log[x] * e) % self._units]
+        return self.antilog[self.log[x] * e % self._units]
 
     def eq(self, x, y):
         return x == y
 
     def is_zero(self, x):
-        return x.is_zero
+        return x == self.zero
 
     def describe(self):
         return {"kind": "gf", "p": self.p, "n": self.n, "modulus": list(self.modulus)}
@@ -181,24 +190,23 @@ class GaloisField(BaseStructure):
 
 class Dickson9(GaloisField):
     """The order-9 Dickson near-field: the elements, addition and tables of
-    GF(9) with the coupled product.  ``pow`` stays the GF(9) power."""
+    GF(9) with the coupled product.  The nonzero squares of GF(9) are the
+    elements of even discrete log.  ``pow`` stays the GF(9) power."""
 
     kind = "dickson9"
     commutative = False
 
     def __init__(self):
         super().__init__(3, 2)
-        self.squares = frozenset(self.pow(y, 2) for y in self.nonzero_elements())
 
     def mul(self, x, y):
-        return super().mul(x, y if x in self.squares else self.pow(y, 3))
+        # zero has no log; its product is zero whichever branch runs
+        return super().mul(x, y if self.log.get(x, 0) % 2 == 0 else self.pow(y, 3))
 
     def inv(self, x):
-        if x in self.squares:
-            return super().inv(x)
-        if x.is_zero:
+        if x == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(x, -3)
+        return self.pow(x, -1 if self.log[x] % 2 == 0 else -3)
 
     def describe(self):
         return {"kind": "dickson9"}
@@ -289,11 +297,13 @@ def induced_add(base: BaseStructure, sigma, x, y):
     return sigma.inverse().apply(base.add(sigma.apply(x), sigma.apply(y)))
 
 
-def distributive_elements(base: BaseStructure):
+def distributive_elements(base: BaseStructure, bound=DEFAULT_BRUTE_BOUND):
     """All g with (a + b) g = a g + b g for every a, b.  Enumerable bases
-    only."""
+    only, and at most ``bound`` triples (g, a, b)."""
     if not base.is_finite:
         raise UnsupportedBaseError("distributive elements need an enumerable base")
+    if base.order() ** 3 > bound:
+        raise BoundExceededError(f"{base.order()}^3 triples exceed the bound {bound}")
     add = base.add
     els = base.elements()
     out = []
@@ -380,11 +390,14 @@ def divisionring_transport_check(base: BaseStructure, sigma) -> Report:
     )
 
 
-def scalar_group_axiom_check(base: BaseStructure) -> Report:
+def scalar_group_axiom_check(base: BaseStructure, bound=DEFAULT_BRUTE_BOUND) -> Report:
     """Monoid laws, zero absorption, the {±1} condition, and group structure
-    on the nonzero elements.  Finite bases only."""
+    on the nonzero elements.  Finite bases only, and at most ``bound``
+    associativity triples."""
     if not base.is_finite:
         raise UnsupportedBaseError("axiom check needs an enumerable base")
+    if base.order() ** 3 > bound:
+        raise BoundExceededError(f"{base.order()}^3 triples exceed the bound {bound}")
     els = base.elements()
     nz = base.nonzero_elements()
     violations = []

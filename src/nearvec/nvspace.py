@@ -31,19 +31,9 @@ from .errors import (
     NearVecError,
     UnsupportedBaseError,
 )
-from .mult_auto import (
-    ComplexEps,
-    FinitePower,
-    InnerAuto,
-    RealPower,
-    compose,
-    identity_auto,
-    same_addition,
-)
-from .nearfield import BaseStructure, distributive_elements, induced_add, is_nearfield_automorphism
+from .mult_auto import POWER_FAMILIES, InnerAuto, compose, identity_auto, same_addition
+from .nearfield import DEFAULT_BRUTE_BOUND, BaseStructure, distributive_elements, induced_add
 from .report import Report
-
-DEFAULT_BRUTE_BOUND = 10**6
 
 # deterministic scalar pairs tried by membership tests over the reals and
 # complexes; ordered so (1, 1) is the first witness candidate
@@ -282,7 +272,7 @@ def exponent_space(base, sigma_exponents, rho_exponents=None):
     """Convenience constructor from per-label exponent tuples: the power-map
     family of the base, labels "1", "2", ... in order, rho the identity
     where no exponent is given."""
-    family = {"gf": FinitePower, "real": RealPower, "complex": ComplexEps}.get(base.kind)
+    family = POWER_FAMILIES.get(base.kind)
     if family is None:
         raise UnsupportedBaseError("no default exponent family for this base")
     sigma_exponents = list(sigma_exponents)
@@ -424,12 +414,11 @@ def decomposition_classes(spec: SpaceSpec) -> Partition:
         return same_addition_classes(spec)
 
     def related(i, j):
-        ti, tj_inv = spec.theta(i), spec.theta(j).inverse()
-        for gamma in spec.base.nonzero_elements():
-            candidate = compose(compose(ti, InnerAuto(spec.base, gamma)), tj_inv)
-            if is_nearfield_automorphism(spec.base, candidate):
-                return True
-        return False
+        ti, tj = spec.theta(i), spec.theta(j)
+        return any(
+            same_addition(compose(ti, InnerAuto(spec.base, gamma)), tj)
+            for gamma in spec.base.nonzero_elements()
+        )
 
     return Partition(first_representative_classes(spec.index, related))
 

@@ -19,7 +19,6 @@ import functools
 
 from .complexify import ComplexificationSpec
 from .errors import NearVecError
-from .galois import GFElement
 from .mult_auto import (
     ComplexEps,
     FinitePower,
@@ -103,10 +102,9 @@ def base_from_json(obj, tolerance=None):
 
 def json_value(obj):
     """The JSON form of a value held in an output or a report record:
-    finite-base scalars become coefficient arrays, complexes [re, im],
-    vectors {label: scalar}, and containers are encoded item by item."""
-    if isinstance(obj, GFElement):
-        return list(obj.coeffs)
+    finite-base scalars (coefficient tuples) become coefficient arrays,
+    complexes [re, im], vectors {label: scalar}, and containers are encoded
+    item by item."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, SparseVector):

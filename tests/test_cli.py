@@ -266,6 +266,14 @@ def test_check_base(capsys):
     assert data["product_hypotheses"]["passed"] is True
 
 
+def test_check_base_bound(capsys):
+    # the 32^3 associativity triples exceed the bound before any work
+    code, out, err = run_cli(capsys, "check-base", '{"kind":"gf","p":2,"n":5}', "--bound", "1000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bound" in err and err.count("\n") == 1
+
+
 def test_check_base_real(capsys):
     code, out, _ = run_cli(capsys, "check-base", '{"kind":"real","tolerance":1e-9}')
     assert code == 0
@@ -299,15 +307,12 @@ def _bench_cli_calls():
 
 
 CLI_CALLS = _bench_cli_calls()
-# the golden calls that take no space file, so nothing has to be written
-FILELESS_CALLS = [
-    (name, argv)
-    for name, argv in CLI_CALLS.calls()
-    if argv[0] in ("classify", "autos", "check-base", "complexify")
-]
 
 
-@pytest.mark.parametrize("name,argv", FILELESS_CALLS, ids=[name for name, _ in FILELESS_CALLS])
-def test_cli_goldens(capsys, name, argv):
-    code, out, _ = run_cli(capsys, *argv)
+@pytest.mark.parametrize("name", [name for name, _ in CLI_CALLS.calls()])
+def test_cli_goldens(capsys, monkeypatch, tmp_path, name):
+    # the space calls read the spec files the bench module writes to SPEC_DIR
+    monkeypatch.setattr(CLI_CALLS, "SPEC_DIR", str(tmp_path))
+    CLI_CALLS.write_spec_files()
+    code, out, _ = run_cli(capsys, *dict(CLI_CALLS.calls())[name])
     assert CLI_CALLS.digest(out.encode(), code) == CLI_CALLS.load_goldens()[name]

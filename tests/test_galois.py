@@ -222,6 +222,19 @@ def test_element_validation():
         t4.check(GFElement((1, 0, 0)))
 
 
+def test_element_is_its_residue_tuple():
+    t9 = GaloisField(3, 2)
+    x = t9.from_int(5)  # 5 = 2 + 1 * 3
+    assert x == (2, 1) and hash(x) == hash((2, 1))
+    assert {(2, 1): "found"}[x] == "found"
+    assert x.coeffs == (2, 1) and type(x.coeffs) is tuple
+    assert repr(x) == "GFElement([2, 1])" and not x.is_zero and t9.zero.is_zero
+    assert t9.check(x) == x
+    # equal as values, but a plain tuple is still not a field element
+    with pytest.raises(NearVecError):
+        t9.check((2, 1))
+
+
 # -- unit classification ----------------------------------------------------
 
 

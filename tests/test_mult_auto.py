@@ -9,6 +9,7 @@ from nearvec.mult_auto import (
     ComplexEps,
     FinitePower,
     InnerAuto,
+    MultAuto,
     PermAuto,
     RealPower,
     as_perm,
@@ -90,6 +91,8 @@ def test_perm_validation(d9):
     swapped[d9.zero], swapped[d9.one] = d9.one, d9.zero
     with pytest.raises(NearVecError):
         PermAuto(d9, swapped)
+    with pytest.raises(NearVecError):  # plain tuples are not elements
+        PermAuto(d9, {tuple(x): tuple(x) for x in els})
     # a bijection fixing 0 and 1 that breaks the product law
     bad = {x: x for x in els}
     a, b = d9.from_int(3), d9.from_int(4)
@@ -225,6 +228,29 @@ def test_properties_check_sampled():
     rep = mult_properties_check(ComplexEps(COMPLEXES, 2 + 1j, True), samples=300)
     assert rep.passed
     assert rep.details["pairs_checked"] >= 300
+
+
+class _ShiftByOne(MultAuto):
+    """x -> x + 1: fixes neither 0 nor 1 and sends the nonzero -1 to 0."""
+
+    def apply(self, x):
+        return self.base.add(x, self.base.one)
+
+
+@pytest.mark.parametrize("kind", ["gf5", "real"])
+def test_properties_check_reports_zero_image_as_inversion(kind, gf5):
+    base = gf5 if kind == "gf5" else REALS
+    rep = mult_properties_check(_ShiftByOne(base), samples=50)
+    assert not rep.passed
+    laws = [v["law"] for v in rep.violations]
+    assert laws[:3] == ["fixes-zero", "fixes-one", "negation"]
+    # per-element laws interleave, then come the pair laws
+    rank = {"fixes-zero": 0, "fixes-one": 1, "negation": 2, "inversion": 2, "product": 3}
+    assert [rank[law] for law in laws] == sorted(rank[law] for law in laws)
+    assert ("product" in laws) == (kind == "gf5")  # the reals' 60 points fill the cap
+    assert {"law": "inversion", "x": base.minus_one} in rep.violations
+    assert rep.details["pairs_checked"] == (25 if kind == "gf5" else 50)
+    assert len(rep.violations) == 20
 
 
 def test_properties_negation_example():
