@@ -237,8 +237,7 @@ def is_multiplicative(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND):
     for u in sorted(tables.quasi_kernel()):
         if u == tables.zero:
             continue
-        key = tuple(tables.anchored_scalars(u))
-        cert = None if None in key else lookup.get(key)
+        cert = lookup.get(tables.anchored_scalars(u))
         certificates[tables.to_sparse(u)] = cert
         if cert is None:
             ok = False

@@ -218,7 +218,7 @@ def _sampled_scalar_laws(base):
 
 
 def cmd_check_base(args):
-    base = base_from_json(_load_json_arg(args.base), tolerance=args.tol)
+    base = base_from_json(_load_json_arg(args.base), tolerance=args.tol, bound=args.bound)
     out = {"base": base.describe()}
     if base.is_finite:
         gate = scalar_group_axiom_check(base, bound=args.bound)

@@ -297,13 +297,18 @@ def induced_add(base: BaseStructure, sigma, x, y):
     return sigma.inverse().apply(base.add(sigma.apply(x), sigma.apply(y)))
 
 
+def _check_triples(q, bound):
+    """Refuse a sweep over the q^3 element triples beyond ``bound``."""
+    if q**3 > bound:
+        raise BoundExceededError(f"{q}^3 triples exceed the bound {bound}")
+
+
 def distributive_elements(base: BaseStructure, bound=DEFAULT_BRUTE_BOUND):
     """All g with (a + b) g = a g + b g for every a, b.  Enumerable bases
     only, and at most ``bound`` triples (g, a, b)."""
     if not base.is_finite:
         raise UnsupportedBaseError("distributive elements need an enumerable base")
-    if base.order() ** 3 > bound:
-        raise BoundExceededError(f"{base.order()}^3 triples exceed the bound {bound}")
+    _check_triples(base.order(), bound)
     add = base.add
     els = base.elements()
     out = []
@@ -396,8 +401,7 @@ def scalar_group_axiom_check(base: BaseStructure, bound=DEFAULT_BRUTE_BOUND) -> 
     associativity triples."""
     if not base.is_finite:
         raise UnsupportedBaseError("axiom check needs an enumerable base")
-    if base.order() ** 3 > bound:
-        raise BoundExceededError(f"{base.order()}^3 triples exceed the bound {bound}")
+    _check_triples(base.order(), bound)
     els = base.elements()
     nz = base.nonzero_elements()
     violations = []

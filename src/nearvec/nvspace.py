@@ -20,6 +20,16 @@ deterministic.  Exhaustive sweeps run over integer-indexed operation
 tables built once per spec; bounds are explicit and exceeding one raises
 instead of truncating.  Membership of a single vector (``in_quasi_kernel``)
 checks the q^2 scalar pairs of that vector alone and needs no bound.
+
+The brute-force quasi-kernel regroups the definition: the scalar g with
+a.u + b.u = g.u on coordinate i depends only on (i, u_i), so the tables
+give each (label, nonzero value) the class of its q^2 solved scalars
+(d*(q-1)*q^2 lookups), and a vector is a member exactly when its nonzero
+coordinates share one class (q^d*d for the sweep).  The sweep runs once
+per spec and is shared by ``quasi_kernel_bruteforce``,
+``is_regular_bruteforce``, ``nvs_axiom_check`` and
+``canonical.is_multiplicative``.  The tables refuse q^d vectors or
+d*q^3 entries beyond the bound.
 """
 
 import itertools
@@ -248,10 +258,11 @@ class SpaceSpec:
     def _int_tables(self, bound=DEFAULT_BRUTE_BOUND):
         if not self.base.is_finite:
             raise UnsupportedBaseError("integer tables need a finite base")
-        if self.base.order() ** max(self.dim, 1) > bound:
-            raise BoundExceededError(
-                f"{self.base.order()}^{self.dim} vectors exceed the bound {bound}"
-            )
+        q, d = self.base.order(), self.dim
+        if q ** max(d, 1) > bound:
+            raise BoundExceededError(f"{q}^{d} vectors exceed the bound {bound}")
+        if d * q**3 > bound:
+            raise BoundExceededError(f"{d}*{q}^3 table entries exceed the bound {bound}")
         if self._tables is None:
             self._tables = _FiniteTables(self)
         return self._tables
@@ -293,8 +304,13 @@ class _FiniteTables:
     """Integer-indexed operation tables for exhaustive sweeps.
 
     Scalars become indexes into the base's element order; vectors become
-    plain tuples of indexes.  Addition, scalar action, and the inverse of
-    the action (solve g from g.x = w on one coordinate) are list lookups.
+    plain tuples of indexes.  Addition and scalar action are list lookups.
+
+    ``class_of[i][x]`` is the class id of the tuple of g with
+    a.u + b.u = g.u on coordinate i at u_i = x, over the pairs (a, b) in
+    index order; ids are shared by all labels, 0 stands for x = 0 and None
+    for a tuple with an unsolvable pair.  ``class_scalars[c]`` is the tuple
+    of class c.
     """
 
     def __init__(self, spec: SpaceSpec):
@@ -313,27 +329,32 @@ class _FiniteTables:
         self.d = len(self.labels)
         self.add_t = []
         self.act_t = []
-        self.solve_t = []  # solve_t[i][x][w] = g with act_t[i][g][x] == w
+        self.class_of = []
+        ids = {}  # tuple of g -> class id, shared by all labels
         for label in self.labels:
             sig = spec.sigma[label]
             s = [idx[sig.apply(e)] for e in els]
             si = [0] * q
             for k, v in enumerate(s):
                 si[v] = k
-            self.add_t.append(
-                [[si[base_add[s[a]][s[b]]] for b in range(q)] for a in range(q)]
-            )
+            add = [[si[base_add[s[a]][s[b]]] for b in range(q)] for a in range(q)]
+            self.add_t.append(add)
             rho = spec.rho[label]
             r = [idx[rho.apply(e)] for e in els]
             act = [[base_mul[r[g]][x] for x in range(q)] for g in range(q)]
             self.act_t.append(act)
-            solve = [[None] * q for _ in range(q)]
-            for g in range(q):
-                row = act[g]
-                for x in range(1, q):
-                    solve[x][row[x]] = g
-            self.solve_t.append(solve)
+            classes = [0]
+            for x in range(1, q):
+                multiples = [act[g][x] for g in range(q)]
+                solve = [None] * q  # solve[w] = g with g.x == w
+                for g, w in enumerate(multiples):
+                    solve[w] = g
+                scalars = tuple(solve[add[ax][bx]] for ax in multiples for bx in multiples)
+                classes.append(None if None in scalars else ids.setdefault(scalars, len(ids) + 1))
+            self.class_of.append(classes)
+        self.class_scalars = [None, *ids]
         self.zero = (0,) * self.d
+        self._qk = None
 
     def all_int_vectors(self):
         return itertools.product(range(self.q), repeat=self.d)
@@ -349,30 +370,28 @@ class _FiniteTables:
             [(self.labels[i], self.elements[t[i]]) for i in range(self.d) if t[i]]
         )
 
+    def _class(self, u):
+        """The one class id of the nonzero coordinates of u: 0 for the zero
+        vector, None when they have several or an unsolvable one."""
+        ids = set(map(list.__getitem__, self.class_of, u))
+        ids.discard(0)
+        if not ids:
+            return 0
+        return ids.pop() if len(ids) == 1 else None
+
     def anchored_scalars(self, u):
-        """For each scalar pair (a, b) in index order, the g with
-        a.u + b.u = g.u, or None where no g fits every coordinate."""
-        support = [i for i in range(self.d) if u[i]]
-        if not support:
+        """The tuple of g with a.u + b.u = g.u over the scalar pairs (a, b)
+        in index order, or None where no g fits some pair."""
+        c = self._class(u)
+        if c == 0:
             raise InvalidAnchorError("anchor vector is zero")
-        t = support[0]
-        solve, act = self.solve_t[t][u[t]], self.act_t
-        vadd, vscale = self.vadd, self.vscale
-        for a in range(self.q):
-            au = vscale(a, u)
-            for b in range(self.q):
-                w = vadd(au, vscale(b, u))
-                g = solve[w[t]]
-                if g is not None and any(act[i][g][u[i]] != w[i] for i in support[1:]):
-                    g = None
-                yield g
+        return None if c is None else self.class_scalars[c]
 
     def quasi_kernel(self):
-        return {
-            v
-            for v in self.all_int_vectors()
-            if v == self.zero or None not in self.anchored_scalars(v)
-        }
+        """The quasi-kernel as index tuples, swept once and then kept."""
+        if self._qk is None:
+            self._qk = frozenset(v for v in self.all_int_vectors() if self._class(v) is not None)
+        return self._qk
 
 
 # -- partitions of the label set --
@@ -614,15 +633,13 @@ def regular_components(spec: SpaceSpec, v: SparseVector):
 def is_regular_bruteforce(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND) -> bool:
     """All-pairs compatibility over the brute-force quasi-kernel."""
     tables = spec._int_tables(bound)
-    qk = sorted(tables.quasi_kernel())
-    nonzero = [v for v in qk if v != tables.zero]
-    qk_set = set(qk)
+    qk = tables.quasi_kernel()
+    nonzero = sorted(qk - {tables.zero})
+    multiples = [[tables.vscale(lam, v) for lam in range(1, tables.q)] for v in nonzero]
     for i, u in enumerate(nonzero):
-        for v in nonzero[i:]:
-            if not any(
-                tables.vadd(u, tables.vscale(lam, v)) in qk_set
-                for lam in range(1, tables.q)
-            ):
+        rows_u = list(map(list.__getitem__, tables.add_t, u))
+        for v_multiples in multiples[i:]:
+            if not any(tuple(map(list.__getitem__, rows_u, w)) in qk for w in v_multiples):
                 return False
     return True
 

@@ -19,6 +19,7 @@ import functools
 
 from .complexify import ComplexificationSpec
 from .errors import NearVecError
+from .galois import _check_order
 from .mult_auto import (
     ComplexEps,
     FinitePower,
@@ -33,6 +34,7 @@ from .nearfield import (
     Dickson9,
     GaloisField,
     RealField,
+    _check_triples,
 )
 from .nvspace import SparseVector, SpaceSpec
 
@@ -71,6 +73,12 @@ def _boolean(obj, what):
     return obj
 
 
+def _field(obj, key, what):
+    if key not in obj:
+        raise NearVecError(f"{what} record has no {key!r} field")
+    return obj[key]
+
+
 def _complex(obj, what):
     """A number or an [re, im] pair."""
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
@@ -78,11 +86,16 @@ def _complex(obj, what):
     return complex(_real(obj, what))
 
 
-def base_from_json(obj, tolerance=None):
+def base_from_json(obj, tolerance=None, bound=None):
+    """The base a record describes.  With a ``bound``, a Galois field whose
+    q^3 element triples exceed it is refused before its tables are built."""
     obj = _record(obj, "base")
     kind = obj.get("kind")
     if kind == "gf":
-        base = GaloisField(_integer(obj["p"], "p"), _integer(obj["n"], "n"))
+        p, n = (_integer(_field(obj, key, "base"), key) for key in ("p", "n"))
+        if bound is not None:
+            _check_triples(_check_order(p, n), bound)
+        base = GaloisField(p, n)
         given = obj.get("modulus")
         if given is not None and [
             _integer(c, "modulus") for c in _list(given, "modulus")
@@ -130,35 +143,35 @@ def auto_from_json(base, obj):
     obj = _record(obj, "automorphism")
     kind = obj.get("kind")
     if kind == "fpow":
-        return FinitePower(base, _integer(obj["alpha"], "alpha"))
+        return FinitePower(base, _integer(_field(obj, "alpha", kind), "alpha"))
     if kind == "rpow":
-        return RealPower(base, _real(obj["alpha"], "alpha"))
+        return RealPower(base, _real(_field(obj, "alpha", kind), "alpha"))
     if kind == "ceps":
-        alpha = _complex(obj["alpha"], "alpha")
+        alpha = _complex(_field(obj, "alpha", kind), "alpha")
         return ComplexEps(base, alpha, _boolean(obj.get("conj", False), "conj"))
     if kind == "perm":
-        pairs = [_list(pair, "perm entry") for pair in _list(obj["table"], "table")]
+        pairs = [_list(pair, "perm entry") for pair in _list(_field(obj, "table", kind), "table")]
         if any(len(pair) != 2 for pair in pairs):
             raise NearVecError("perm entries must be [in, out] pairs")
         table = {scalar_from_json(base, x): scalar_from_json(base, y) for x, y in pairs}
         return PermAuto(base, table)
     if kind == "inner":
-        return InnerAuto(base, scalar_from_json(base, obj["gamma"]))
+        return InnerAuto(base, scalar_from_json(base, _field(obj, "gamma", kind)))
     if kind == "comp":
-        factors = [auto_from_json(base, f) for f in _list(obj["factors"], "factors")]
+        factors = [auto_from_json(base, f) for f in _list(_field(obj, "factors", kind), "factors")]
         return functools.reduce(compose, factors) if factors else identity_auto(base)
     raise NearVecError(f"unknown automorphism kind {kind!r}")
 
 
 def spec_from_json(obj, tolerance=None) -> SpaceSpec:
     obj = _record(obj, "space")
-    base = base_from_json(obj["base"], tolerance=tolerance)
-    index = [str(k) for k in _list(obj["index"], "index")]
-    sigma, rho = _record(obj["sigma"], "sigma"), _record(obj["rho"], "rho")
+    base = base_from_json(_field(obj, "base", "space"), tolerance=tolerance)
+    index = [str(k) for k in _list(_field(obj, "index", "space"), "index")]
+    sigma, rho = (_record(_field(obj, key, "space"), key) for key in ("sigma", "rho"))
     spec = SpaceSpec(
         base,
-        {k: auto_from_json(base, sigma[k]) for k in index},
-        {k: auto_from_json(base, rho[k]) for k in index},
+        {k: auto_from_json(base, _field(sigma, k, "sigma")) for k in index},
+        {k: auto_from_json(base, _field(rho, k, "rho")) for k in index},
     )
     if list(spec.index) != sorted(index):
         raise NearVecError("index does not match sigma/rho labels")
@@ -170,7 +183,7 @@ def vector_to_json(v: SparseVector):
 
 
 def vector_from_json(spec: SpaceSpec, obj) -> SparseVector:
-    entries = _record(_record(obj, "vector")["entries"], "entries")
+    entries = _record(_field(_record(obj, "vector"), "entries", "vector"), "entries")
     return spec.vector({k: scalar_from_json(spec.base, x) for k, x in entries.items()})
 
 
@@ -178,7 +191,7 @@ def complexification_from_json(obj) -> ComplexificationSpec:
     obj = _record(obj, "complexification")
     S = obj.get("S")
     return ComplexificationSpec(
-        _reals(obj["T"], "T"),
+        _reals(_field(obj, "T", "complexification"), "T"),
         None if S is None else _reals(S, "S"),
         _boolean(obj.get("conj", False), "conj"),
     )

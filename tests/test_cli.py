@@ -201,6 +201,83 @@ def test_space_malformed_file(capsys, tmp_path, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _drop(obj, *path):
+    """A deep copy of obj without the key at the end of path."""
+    obj = json.loads(json.dumps(obj))
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    return obj
+
+
+# one space per record kind with required fields
+FULL_SPACES = {
+    "gf5": {
+        "base": GF5,
+        "index": ["1", "2"],
+        "sigma": {"1": IDENT, "2": {"kind": "comp", "factors": [IDENT]}},
+        "rho": {"1": IDENT, "2": IDENT},
+    },
+    "gf9": {
+        "base": {"kind": "gf", "p": 3, "n": 2},
+        "index": ["1"],
+        "sigma": {"1": {"kind": "inner", "gamma": [1, 0]}},
+        "rho": {"1": {"kind": "perm", "table": [[[0, 0], [0, 0]]]}},
+    },
+    "real": {
+        "base": {"kind": "real"},
+        "index": ["1"],
+        "sigma": {"1": {"kind": "rpow", "alpha": 3.0}},
+        "rho": {"1": {"kind": "rpow", "alpha": 1.0}},
+    },
+    "complex": {
+        "base": {"kind": "complex"},
+        "index": ["1"],
+        "sigma": {"1": {"kind": "ceps", "alpha": [1, 0]}},
+        "rho": {"1": {"kind": "ceps", "alpha": [1, 0]}},
+    },
+}
+MISSING_FIELDS = [
+    ("gf5", "base"),
+    ("gf5", "index"),
+    ("gf5", "sigma"),
+    ("gf5", "rho"),
+    ("gf5", "base", "p"),
+    ("gf5", "base", "n"),
+    ("gf5", "sigma", "2"),
+    ("gf5", "rho", "1"),
+    ("gf5", "sigma", "1", "alpha"),
+    ("gf5", "sigma", "2", "factors"),
+    ("gf9", "sigma", "1", "gamma"),
+    ("gf9", "rho", "1", "table"),
+    ("real", "sigma", "1", "alpha"),
+    ("complex", "rho", "1", "alpha"),
+]
+
+
+@pytest.mark.parametrize("missing", MISSING_FIELDS, ids="-".join)
+def test_space_missing_field(capsys, tmp_path, missing):
+    name, *path = missing
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_drop(FULL_SPACES[name], *path)))
+    code, out, err = run_cli(capsys, "space", str(bad), "qk")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"has no {path[-1]!r} field" in err
+
+
+def test_space_table_bound(capsys, tmp_path):
+    # one label over GF(128): 128 vectors, but 128^3 entries of sweep tables
+    spec = tmp_path / "gf128.json"
+    spec.write_text(_space_text(base={"kind": "gf", "p": 2, "n": 7}))
+    code, out, err = run_cli(capsys, "space", str(spec), "multiplicative")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bound" in err and err.count("\n") == 1
+
+
 def test_space_missing_file(capsys):
     code, out, err = run_cli(capsys, "space", "/nonexistent/x.json", "qk")
     assert code == 2 and out == ""
@@ -245,8 +322,10 @@ def test_complexify_zero_exponent(capsys, tmp_path):
         '{"T": [1], "conj": "yes"}',
         '{"T": [1], "conj": 1}',
         '[1, 2]',
+        '{"S": [1]}',
     ],
-    ids=["T-text", "T-number", "T-bool", "S-null-entry", "S-number", "conj-text", "conj-int", "not-object"],
+    ids=["T-text", "T-number", "T-bool", "S-null-entry", "S-number", "conj-text", "conj-int", "not-object",
+         "T-missing"],
 )
 def test_complexify_malformed(capsys, tmp_path, text):
     cfile = tmp_path / "c.json"
@@ -269,6 +348,19 @@ def test_check_base(capsys):
 def test_check_base_bound(capsys):
     # the 32^3 associativity triples exceed the bound before any work
     code, out, err = run_cli(capsys, "check-base", '{"kind":"gf","p":2,"n":5}', "--bound", "1000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bound" in err and err.count("\n") == 1
+
+
+def test_check_base_bound_before_build(capsys, monkeypatch):
+    import nearvec.nearfield
+
+    def refuse(p, n):
+        raise AssertionError(f"GF({p}^{n}) tables built before the bound check")
+
+    monkeypatch.setattr(nearvec.nearfield, "gf_build", refuse)
+    code, out, err = run_cli(capsys, "check-base", '{"kind":"gf","p":2,"n":16}', "--bound", "10")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "bound" in err and err.count("\n") == 1

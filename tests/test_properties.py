@@ -1,6 +1,7 @@
 """Property tests on random small spaces and automorphisms: single-vector
-membership agrees with the brute-force quasi-kernel, every
-multiplicativity certificate reproduces the anchored addition it
+membership agrees with the brute-force quasi-kernel, all-pairs
+compatibility of the members agrees with the brute-force regularity test,
+every multiplicativity certificate reproduces the anchored addition it
 certifies, composition, inversion and the JSON forms of automorphisms
 obey their laws, and spaces and vectors survive their JSON forms."""
 
@@ -23,17 +24,28 @@ from nearvec.mult_auto import (
     identity_auto,
 )
 from nearvec.nearfield import COMPLEXES, REALS, Dickson9, GaloisField, induced_add
-from nearvec.nvspace import SpaceSpec, anchored_add, in_quasi_kernel, quasi_kernel_bruteforce
+from nearvec.nvspace import (
+    SpaceSpec,
+    anchored_add,
+    compatible,
+    in_quasi_kernel,
+    is_regular_bruteforce,
+    quasi_kernel_bruteforce,
+)
 from nearvec.serialize import auto_from_json, spec_from_json, vector_from_json, vector_to_json
 
 # deterministic examples, capped so the whole file stays within a few seconds
 PROPERTY_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+SWEEP_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 COMPOSE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 FIELDS = {(p, n): GaloisField(p, n) for p, n in ((2, 2), (7, 1), (2, 3), (3, 2))}
 D9 = Dickson9()
 LISTED = {base: enumerate_mult_autos(base) for base in (FIELDS[2, 3], FIELDS[3, 2], D9)}
 GF4_AUTOS = enumerate_mult_autos(FIELDS[2, 2])
+# power maps of the small fields; GF(8), GF(9) and Dickson9 draw every
+# form of ``finite_auto``
+SWEEP_AUTOS = {base: enumerate_mult_autos(base) for base in (FIELDS[2, 2], GaloisField(5, 1), FIELDS[7, 1])}
 JSON_BASES = (FIELDS[2, 2], FIELDS[3, 2], D9, REALS, COMPLEXES)
 # dyadic exponent parts, so products and inverses of the real and complex
 # families are exact and law checks can compare with ==
@@ -106,6 +118,39 @@ def dickson_specs(draw):
     sigma = {k: draw(finite_auto(D9)) for k in labels}
     rho = {k: draw(finite_auto(D9)) for k in labels}
     return SpaceSpec(D9, sigma, rho)
+
+
+@st.composite
+def sweep_specs(draw, max_labels):
+    """A space of 1 to ``max_labels`` labels over GF(4), GF(5), GF(7),
+    GF(8), GF(9) or Dickson9."""
+    base = draw(st.sampled_from([*SWEEP_AUTOS, *LISTED]))
+    autos = st.sampled_from(SWEEP_AUTOS[base]) if base in SWEEP_AUTOS else finite_auto(base)
+    # drawn down from max_labels, so most examples have several labels
+    labels = [str(k) for k in range(1, max_labels - draw(st.integers(0, max_labels - 1)) + 1)]
+    return SpaceSpec(base, {k: draw(autos) for k in labels}, {k: draw(autos) for k in labels})
+
+
+def members_by_definition(spec):
+    return [v for v in spec.all_vectors() if in_quasi_kernel(spec, v)[0]]
+
+
+@SWEEP_SETTINGS
+@given(sweep_specs(3))
+def test_bruteforce_sweep_is_membership(spec):
+    assert quasi_kernel_bruteforce(spec) == set(members_by_definition(spec))
+
+
+@SWEEP_SETTINGS
+@given(sweep_specs(2))
+def test_bruteforce_regularity_is_all_pairs_compatibility(spec):
+    # membership by definition, computed once: asking in_quasi_kernel again
+    # for every pair (qk=None) takes close to a minute over these examples
+    members = members_by_definition(spec)
+    qk = set(members)
+    nonzero = [v for v in members if not v.is_zero()]
+    expected = all(compatible(spec, u, v, qk=qk) for i, u in enumerate(nonzero) for v in nonzero[i:])
+    assert is_regular_bruteforce(spec) == expected
 
 
 def check_membership_and_certificates(spec):

@@ -81,6 +81,8 @@ def test_spec_and_vector_roundtrip():
     v = spec.vector({"1": gf5.from_int(2)})
     moved = vector_from_json(again, json.loads(json.dumps(vector_to_json(v))))
     assert moved == v
+    with pytest.raises(NearVecError, match="vector record has no 'entries' field"):
+        vector_from_json(again, {"entires": {}})
 
 
 def test_real_spec_tolerance_override():
