@@ -30,6 +30,12 @@ per spec and is shared by ``quasi_kernel_bruteforce``,
 ``is_regular_bruteforce``, ``nvs_axiom_check`` and
 ``canonical.is_multiplicative``.  The tables refuse q^d vectors or
 d*q^3 entries beyond the bound.
+
+Both sweeps work once per scalar ray.  ``is_regular_bruteforce`` tests
+one representative of each of the R rays of nonzero members against every
+member of the same or a later ray, R(R+1)/2*(q-1) tests, refused beyond
+the bound.  ``materialize_quasi_kernel`` adds each nonzero combo of an
+unconstrained block once and scales only combos of constrained blocks.
 """
 
 import itertools
@@ -507,16 +513,18 @@ def materialize_quasi_kernel(
 
     out = {ZERO_VECTOR}
     for block in desc.classes:
-        pools = [
-            els if desc.allowed[label] is None else desc.allowed[label]
-            for label in block
-        ]
-        for combo in itertools.product(*pools):
+        pools = [desc.allowed[label] for label in block]
+        # scaling keeps the support, so it maps the vectors supported in an
+        # unconstrained block onto themselves
+        unconstrained = all(pool is None for pool in pools)
+        for combo in itertools.product(*(els if pool is None else pool for pool in pools)):
             k_vec = SparseVector(list(zip(block, combo)))
             if k_vec.is_zero():
                 continue
-            for lam in els:
-                out.add(spec.scale(lam, k_vec))
+            if unconstrained:
+                out.add(k_vec)
+            else:
+                out.update(spec.scale(lam, k_vec) for lam in els)
     return frozenset(out)
 
 
@@ -631,15 +639,28 @@ def regular_components(spec: SpaceSpec, v: SparseVector):
 
 
 def is_regular_bruteforce(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND) -> bool:
-    """All-pairs compatibility over the brute-force quasi-kernel."""
+    """All-pairs compatibility over the brute-force quasi-kernel.
+
+    Compatibility is symmetric and invariant under u -> a.u, v -> b.v, and
+    the quasi-kernel is closed under scaling, so the first member of each
+    ray stands for the whole ray on the left of a pair.
+    """
     tables = spec._int_tables(bound)
     qk = tables.quasi_kernel()
-    nonzero = sorted(qk - {tables.zero})
-    multiples = [[tables.vscale(lam, v) for lam in range(1, tables.q)] for v in nonzero]
-    for i, u in enumerate(nonzero):
-        rows_u = list(map(list.__getitem__, tables.add_t, u))
-        for v_multiples in multiples[i:]:
-            if not any(tuple(map(list.__getitem__, rows_u, w)) in qk for w in v_multiples):
+    seen = {tables.zero}
+    rays = []
+    for v in sorted(qk):
+        if v not in seen:
+            ray = [tables.vscale(lam, v) for lam in range(1, tables.q)]
+            seen.update(ray)
+            rays.append(ray)
+    tests = len(rays) * (len(rays) + 1) // 2 * (tables.q - 1)
+    if tests > bound:
+        raise BoundExceededError(f"{tests} ray pair tests exceed the bound {bound}")
+    for i, ray in enumerate(rays):
+        rows_u = list(map(list.__getitem__, tables.add_t, ray[0]))
+        for members in rays[i:]:
+            if not any(tuple(map(list.__getitem__, rows_u, w)) in qk for w in members):
                 return False
     return True
 

@@ -339,11 +339,30 @@ def test_compatible_examples(gf5, spec13):
         compatible(rs, rs.basis_vector("1"), rs.basis_vector("2"))
 
 
-def test_is_regular_examples(gf5, spec13):
+def test_is_regular_examples(gf5, spec13, d9):
     gf4 = GaloisField(2, 2)
     assert is_regular_bruteforce(exponent_space(gf4, [1, 2]))
     assert not is_regular_bruteforce(spec13)
     assert is_regular_bruteforce(exponent_space(gf5, [3]))
+    # regular, though u + v leaves the quasi-kernel for some members: some
+    # ray pairs are compatible only through a scalar other than 1
+    ident = identity_auto(d9)
+    twisted = SpaceSpec(d9, {"1": ident, "2": ident}, {"1": ident, "2": InnerAuto(d9, d9.from_int(3))})
+    assert is_regular_bruteforce(twisted)
+    qk = quasi_kernel_bruteforce(twisted)
+    assert any(twisted.add(u, v) not in qk for u in qk for v in qk)
+
+
+def test_is_regular_bound():
+    gf4 = GaloisField(2, 2)
+    # 341 rays of 3 members: 341*342/2*3 = 174,933 ray pair tests
+    five = exponent_space(gf4, [1] * 5)
+    assert is_regular_bruteforce(five)
+    with pytest.raises(BoundExceededError, match="174933 ray pair tests exceed the bound 100000"):
+        is_regular_bruteforce(five, bound=100_000)
+    # 1,365 rays: 2,796,885 tests, refused before the pair loop
+    with pytest.raises(BoundExceededError, match="2796885 ray pair tests"):
+        is_regular_bruteforce(exponent_space(gf4, [1] * 6))
 
 
 def test_regular_decomposition(gf5, spec13):

@@ -1,7 +1,9 @@
 """Property tests on random small spaces and automorphisms: single-vector
 membership agrees with the brute-force quasi-kernel, all-pairs
-compatibility of the members agrees with the brute-force regularity test,
-every multiplicativity certificate reproduces the anchored addition it
+compatibility of the members agrees with the brute-force regularity test
+and is invariant under scaling either vector, the materialized closed
+form equals the brute-force quasi-kernel over the Galois fields, every
+multiplicativity certificate reproduces the anchored addition it
 certifies, composition, inversion and the JSON forms of automorphisms
 obey their laws, and spaces and vectors survive their JSON forms."""
 
@@ -28,8 +30,10 @@ from nearvec.nvspace import (
     SpaceSpec,
     anchored_add,
     compatible,
+    exponent_space,
     in_quasi_kernel,
     is_regular_bruteforce,
+    materialize_quasi_kernel,
     quasi_kernel_bruteforce,
 )
 from nearvec.serialize import auto_from_json, spec_from_json, vector_from_json, vector_to_json
@@ -46,6 +50,8 @@ GF4_AUTOS = enumerate_mult_autos(FIELDS[2, 2])
 # power maps of the small fields; GF(8), GF(9) and Dickson9 draw every
 # form of ``finite_auto``
 SWEEP_AUTOS = {base: enumerate_mult_autos(base) for base in (FIELDS[2, 2], GaloisField(5, 1), FIELDS[7, 1])}
+ALL_AUTOS = {**SWEEP_AUTOS, **LISTED}
+GALOIS_FIELDS = [base for base in ALL_AUTOS if base.kind == "gf"]
 JSON_BASES = (FIELDS[2, 2], FIELDS[3, 2], D9, REALS, COMPLEXES)
 # dyadic exponent parts, so products and inverses of the real and complex
 # families are exact and law checks can compare with ==
@@ -72,7 +78,7 @@ def finite_auto(draw, base):
     gamma = draw(st.sampled_from(base.nonzero_elements()))
     if form == "inner":
         return InnerAuto(base, gamma)
-    listed = draw(st.sampled_from(LISTED[base]))
+    listed = draw(st.sampled_from(ALL_AUTOS[base]))
     if form == "power":
         return listed
     table = as_perm(listed)
@@ -151,6 +157,48 @@ def test_bruteforce_regularity_is_all_pairs_compatibility(spec):
     nonzero = [v for v in members if not v.is_zero()]
     expected = all(compatible(spec, u, v, qk=qk) for i, u in enumerate(nonzero) for v in nonzero[i:])
     assert is_regular_bruteforce(spec) == expected
+
+
+@SWEEP_SETTINGS
+@given(sweep_specs(2), st.data())
+def test_compatibility_is_ray_invariant(spec, data):
+    members = members_by_definition(spec)
+    qk = set(members)
+    nonzero = [v for v in members if not v.is_zero()]
+    vectors, scalars = st.sampled_from(nonzero), st.sampled_from(spec.base.nonzero_elements())
+    for _ in range(4):
+        u, v, a, b = data.draw(st.tuples(vectors, vectors, scalars, scalars))
+        scaled = compatible(spec, spec.scale(a, u), spec.scale(b, v), qk=qk)
+        assert compatible(spec, u, v, qk=qk) == scaled, (u, v, a, b)
+
+
+@st.composite
+def galois_specs(draw):
+    """A 1-3-label space over GF(4), GF(5), GF(7), GF(8) or GF(9), twisted
+    by every form ``finite_auto`` draws."""
+    base = draw(st.sampled_from(GALOIS_FIELDS))
+    labels = [str(k) for k in range(1, draw(st.integers(1, 3)) + 1)]
+    autos = finite_auto(base)
+    return SpaceSpec(base, {k: draw(autos) for k in labels}, {k: draw(autos) for k in labels})
+
+
+@SWEEP_SETTINGS
+@given(galois_specs())
+def test_materialized_closed_form_is_bruteforce(spec):
+    assert materialize_quasi_kernel(spec) == quasi_kernel_bruteforce(spec)
+
+
+def test_materialize_scales_no_unconstrained_block(monkeypatch):
+    calls = []
+    scale = SpaceSpec.scale
+
+    def counted(self, alpha, v):
+        calls.append(alpha)
+        return scale(self, alpha, v)
+
+    monkeypatch.setattr(SpaceSpec, "scale", counted)
+    assert len(materialize_quasi_kernel(exponent_space(GaloisField(2, 6), [1]))) == 64
+    assert len(calls) <= 64
 
 
 def check_membership_and_certificates(spec):
