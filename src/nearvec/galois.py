@@ -14,6 +14,10 @@ table lookups.  Construction is deterministic:
   the coefficient tuple read as base-p digits, constant term least
   significant), whose multiplicative order is p^n - 1.
 
+The tables are built on integer codes and plain lists: the antilog walk
+multiplies the code of g^e by g as a GF(p)-linear map, looked up on the
+low and high halves of its digits and summed digitwise.
+
 Fields beyond ``DEFAULT_MAX_ORDER`` elements are refused.
 
 The module also classifies the unit group modulo p^n - 1 into orbits under
@@ -23,6 +27,7 @@ so the orbit count is the number of distinct induced additions.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -61,75 +66,53 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
-# -- polynomial helpers over GF(p); coefficient tuples, constant term first --
+# -- polynomial helpers over GF(p); coefficient lists, constant term first --
 
 
-def _trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m."""
+def _rem(a, d, p):
+    """Remainder of a modulo the monic d, by long division."""
     a = list(a)
-    dm = len(m) - 1
-    while len(_trim(a)) - 1 >= dm and _trim(a):
-        a = list(_trim(a))
-        shift = len(a) - 1 - dm
-        lead = a[-1]
-        for i, c in enumerate(m):
-            a[shift + i] = (a[shift + i] - lead * c) % p
-    return _trim(a)
+    k = len(d) - 1
+    for top in range(len(a) - 1, k - 1, -1):
+        lead = a[top] % p
+        if lead:
+            for i in range(k):
+                a[top - k + i] -= lead * d[i]
+    return [c % p for c in a[:k]]
 
 
-def _poly_powmod(a, e, m, p):
-    r = (1,)
-    a = _poly_mod(a, m, p)
-    while e > 0:
+def _mulmod(a, b, modulus, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _rem(prod, modulus, p)
+
+
+def _powmod(a, e, modulus, p):
+    r = [1] + [0] * (len(a) - 1)
+    while e:
         if e & 1:
-            r = _poly_mod(_poly_mul(r, a, p), m, p)
-        a = _poly_mod(_poly_mul(a, a, p), m, p)
+            r = _mulmod(r, a, modulus, p)
+        a = _mulmod(a, a, modulus, p)
         e >>= 1
     return r
 
 
-def _monic_polys(p, degree):
-    """All monic polynomials of the given degree, lex order of low coeffs."""
-    for low in itertools.product(range(p), repeat=degree):
-        yield low + (1,)
-
-
-def _is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    degree = len(poly) - 1
-    for d in range(1, degree // 2 + 1):
-        for div in _monic_polys(p, d):
-            if not _poly_mod(poly, div, p):
-                return False
-    return True
-
-
 def first_irreducible(p: int, n: int) -> tuple:
-    """First monic irreducible of degree n in the declared scan order."""
+    """First monic irreducible of degree n in the declared scan order, by
+    trial division by every monic polynomial of degree 1..n/2.  For n >= 2
+    x divides a zero constant term, so candidates and divisors with one
+    are skipped: ``lows(k)`` gives the lower coefficients of the rest of
+    degree k, in scan order."""
     if n == 1:
         return (0, 1)
-    for poly in _monic_polys(p, n):
-        if _is_irreducible(poly, p):
-            return poly
+    lows = lambda k: itertools.product(range(1, p), *[range(p)] * (k - 1))  # noqa: E731
+    divisors = [low + (1,) for k in range(1, n // 2 + 1) for low in lows(k)]
+    for low in lows(n):
+        if all(any(_rem(low + (1,), d, p)) for d in divisors):
+            return low + (1,)
     raise NearVecError(f"no irreducible polynomial of degree {n} over GF({p})")
 
 
@@ -163,6 +146,50 @@ def _check_order(p, n):
     return p**n
 
 
+def _images(basis, n, p):
+    """Sum of d_t * basis[t] over GF(p) for every digit vector d, in
+    integer encoding order of d; the basis entries are n coefficients."""
+    imgs = [[0] * n]
+    for b in basis:
+        imgs = [[(x + d * y) % p for x, y in zip(img, b)] for d in range(p) for img in imgs]
+    return imgs
+
+
+def _walk(p, n, modulus, g, m):
+    """Integer codes of g^0, ..., g^(m - 1), for g given by its code.
+
+    Multiplication by g is GF(p)-linear, so for n >= 2 the code
+    k = lo + hi * p^s, with s = n // 2 low digits, maps to image(lo) +
+    image(hi * x^s): two lookups in tables of p^s and p^(n - s) entries.
+    An image keeps digit j times p^j, so its code is its sum; the digitwise
+    sum of two images is XOR for p = 2, and otherwise its entry j is the
+    sum of their entries j reduced mod p^(j + 1)."""
+    if n == 1:
+        return list(itertools.accumulate(range(m - 1), lambda k, _: k * g % p, initial=1))
+    s = n // 2
+    size = p**s
+    basis = [[g // p**i % p for i in range(n)]]
+    for _ in range(n - 1):
+        basis.append(_mulmod(basis[-1], [0, 1] + [0] * (n - 2), modulus, p))
+    lo, hi = (
+        [tuple(d * p**j for j, d in enumerate(img)) for img in _images(part, n, p)]
+        for part in (basis[:s], basis[s:])
+    )
+    codes = [1]
+    k = 1
+    if p == 2:
+        lo, hi = list(map(sum, lo)), list(map(sum, hi))
+        for _ in range(m - 1):
+            k = lo[k & (size - 1)] ^ hi[k >> s]
+            codes.append(k)
+        return codes
+    moduli = [p ** (j + 1) for j in range(n)]
+    for _ in range(m - 1):
+        k = sum(map(operator.mod, map(operator.add, lo[k % size], hi[k // size]), moduli))
+        codes.append(k)
+    return codes
+
+
 def gf_build(p: int, n: int) -> tuple:
     """The tables of GF(p^n) as (modulus, elements, generator, log,
     antilog): elements in integer encoding order, log maps a nonzero
@@ -173,51 +200,23 @@ def gf_build(p: int, n: int) -> tuple:
         raise NearVecError(f"degree must be positive, got {n}")
 
     modulus = first_irreducible(p, n)
-
-    def encode(k):
-        c = []
-        for _ in range(n):
-            c.append(k % p)
-            k //= p
-        return GFElement(c)
-
-    elements = tuple(encode(k) for k in range(q))
-
-    def raw_mul(a, b):
-        return _poly_mod(_poly_mul(_trim(a), _trim(b), p), modulus, p)
-
-    def pad(c):
-        return GFElement(c + (0,) * (n - len(c)))
+    elements = tuple(GFElement(c[::-1]) for c in itertools.product(range(p), repeat=n))
 
     m = q - 1
-    factors = prime_factors(m) if m > 1 else []
-    generator = None
-    for cand in elements[1:]:
-        if m <= 1:
-            generator = cand
+    factors = prime_factors(m)
+    one = list(elements[1])
+    for g in range(1, q):
+        if all(_powmod(list(elements[g]), m // f, modulus, p) != one for f in factors):
             break
-        ok = True
-        for f in factors:
-            if pad(_poly_powmod(_trim(cand), m // f, modulus, p)) == elements[1]:
-                ok = False
-                break
-        if ok:
-            generator = cand
-            break
-    if generator is None:
+    else:
         raise NearVecError(f"no generator found for GF({p}^{n}); table bug")
 
-    antilog = {}
-    log = {}
-    acc = elements[1]
-    for e in range(max(m, 1)):
-        antilog[e] = acc
-        log[acc] = e
-        acc = pad(raw_mul(acc, generator))
-    if len(log) != max(m, 1):
+    antilog = dict(enumerate(map(elements.__getitem__, _walk(p, n, modulus, g, m))))
+    log = dict(zip(antilog.values(), range(m)))
+    if len(log) != m:
         raise NearVecError(f"generator of GF({p}^{n}) has wrong order; table bug")
 
-    return modulus, elements, generator, log, antilog
+    return modulus, elements, elements[g], log, antilog
 
 
 @dataclass(frozen=True)

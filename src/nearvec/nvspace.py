@@ -35,10 +35,12 @@ Both sweeps work once per scalar ray.  ``is_regular_bruteforce`` tests
 one representative of each of the R rays of nonzero members against every
 member of the same or a later ray, R(R+1)/2*(q-1) tests, refused beyond
 the bound.  ``materialize_quasi_kernel`` adds each nonzero combo of an
-unconstrained block once and scales only combos of constrained blocks.
+unconstrained block once and scales only combos of constrained blocks,
+and charges the bound for exactly that work.
 """
 
 import itertools
+import math
 
 from .errors import (
     BaseMismatchError,
@@ -501,23 +503,22 @@ def materialize_quasi_kernel(
     if desc is None:
         desc = quasi_kernel_closed(spec)
     els = base.elements()
+    blocks = []
     total = 0
     for block in desc.classes:
-        size = 1
-        for label in block:
-            vals = desc.allowed[label]
-            size *= len(els) if vals is None else len(vals)
-        total += size * len(els)
+        pools = [els if desc.allowed[label] is None else desc.allowed[label] for label in block]
+        # scaling keeps the support, so it maps the vectors supported in an
+        # unconstrained block onto themselves: each combo is added once
+        unconstrained = all(desc.allowed[label] is None for label in block)
+        size = math.prod(map(len, pools))
+        total += size if unconstrained else size * len(els)
+        blocks.append((block, pools, unconstrained))
     if total > bound:
         raise BoundExceededError(f"{total} candidates exceed the bound {bound}")
 
     out = {ZERO_VECTOR}
-    for block in desc.classes:
-        pools = [desc.allowed[label] for label in block]
-        # scaling keeps the support, so it maps the vectors supported in an
-        # unconstrained block onto themselves
-        unconstrained = all(pool is None for pool in pools)
-        for combo in itertools.product(*(els if pool is None else pool for pool in pools)):
+    for block, pools, unconstrained in blocks:
+        for combo in itertools.product(*pools):
             k_vec = SparseVector(list(zip(block, combo)))
             if k_vec.is_zero():
                 continue

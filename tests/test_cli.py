@@ -278,6 +278,21 @@ def test_space_table_bound(capsys, tmp_path):
     assert err.startswith("error:") and "bound" in err and err.count("\n") == 1
 
 
+def test_space_qk_charges_unconstrained_block_once(capsys, tmp_path):
+    # one label over GF(1024): an unconstrained block of 1024 vectors,
+    # each built once, so the materialization costs 1024 against the bound
+    spec = tmp_path / "gf1024.json"
+    spec.write_text(
+        _space_text(base={"kind": "gf", "p": 2, "n": 10}, sigma={"kind": "fpow", "alpha": 7})
+    )
+    code, out, err = run_cli(capsys, "space", str(spec), "qk")
+    assert code == 0 and err == ""
+    assert json.loads(out)["count"] == 1024
+    code, out, err = run_cli(capsys, "space", str(spec), "qk", "--bound", "1023")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 1024 candidates exceed the bound 1023") and err.count("\n") == 1
+
+
 def test_space_missing_file(capsys):
     code, out, err = run_cli(capsys, "space", "/nonexistent/x.json", "qk")
     assert code == 2 and out == ""

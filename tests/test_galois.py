@@ -9,6 +9,7 @@ polynomial arithmetic modulo the field's modulus.
 """
 
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -100,6 +101,63 @@ def oracle_orbit_count(p, n):
 )
 def test_modulus_matches_independent_scan(p, n):
     assert GaloisField(p, n).modulus == oracle_first_irreducible(p, n)
+
+
+SMALL_FIELDS = [
+    (p, n) for p in range(2, 257) if is_prime(p) for n in range(1, 9) if p**n <= 256
+]
+
+
+def test_tables_match_oracles_on_every_small_field():
+    # every GF(p^n) with p^n <= 256: the scan-order modulus, the digits of
+    # each element, the first element of full order, and the antilog walk
+    for p, n in SMALL_FIELDS:
+        q = p**n
+        modulus, elements, generator, log, antilog = gf_build(p, n)
+        assert modulus == (oracle_first_irreducible(p, n) if n > 1 else (0, 1))
+        assert [tuple(x) for x in elements] == [
+            tuple(k // p**i % p for i in range(n)) for k in range(q)
+        ]
+        one = elements[1]
+
+        def order(x):
+            k, acc = 1, x
+            while acc != one:
+                acc = schoolbook_mul(acc, x, modulus, p)
+                k += 1
+            return k
+
+        first = next(x for x in elements[1:] if order(x) == q - 1)
+        assert generator == first
+        assert antilog[0] == one and len(antilog) == len(log) == q - 1
+        for e in range(q - 1):
+            step = schoolbook_mul(antilog[e], generator, modulus, p)
+            assert step == (antilog[e + 1] if e + 2 < q else one)
+            assert log[antilog[e]] == e
+
+
+@pytest.mark.parametrize(
+    "p,n,modulus,generator",
+    [
+        (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1), 6),
+        (3, 10, (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1), 34),
+        (251, 2, (1, 0, 1), 256),
+        (65521, 1, (0, 1), 17),
+    ],
+)
+def test_large_fields_pinned(p, n, modulus, generator):
+    # the binary, odd-characteristic and prime-field walks at sizes the
+    # small-field sweep never reaches
+    t = GaloisField(p, n)
+    assert t.modulus == modulus
+    assert t.generator == t.from_int(generator)
+    if (p, n) == (2, 16):
+        assert t.log[t.from_int(2)] == 52011 and len(t.log) == 65535
+    rng = random.Random(p * 100 + n)
+    m = t.order() - 1
+    for e in rng.sample(range(m), 200):
+        step = schoolbook_mul(t.antilog[e], t.generator, modulus, p)
+        assert step == t.antilog[(e + 1) % m]
 
 
 def test_modulus_examples():

@@ -208,6 +208,10 @@ def test_quasi_kernel_dickson(d9, d9_spec):
     closed = materialize_quasi_kernel(d9_spec, desc)
     brute = quasi_kernel_bruteforce(d9_spec)
     assert closed == brute
+    # a constrained block is charged its 3 * 3 combos times the 9 scalars
+    assert materialize_quasi_kernel(d9_spec, desc, bound=81) == closed
+    with pytest.raises(BoundExceededError, match="81 candidates exceed the bound 80"):
+        materialize_quasi_kernel(d9_spec, desc, bound=80)
     assert len(brute) == 33 < 81
     x = d9.from_int(3)
     excluded = d9_spec.vector({"1": d9.one, "2": x})
