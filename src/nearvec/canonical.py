@@ -16,6 +16,7 @@ additions and is finite dimensional over its right distributive part;
 assembles the regrouped product.
 """
 
+import functools
 import itertools
 import random
 
@@ -139,41 +140,21 @@ def _aligned_component_check(m: IsoMap):
     return pairs, violations
 
 
-def verify_iso(m: IsoMap, trials: int = 1000, seed: int = 0, bound=DEFAULT_BRUTE_BOUND) -> Report:
-    """Check that the map preserves sums and the scalar action.
-
-    Basis-aligned maps over finite bases are checked exhaustively per
-    component (which covers every vector pair); other finite maps loop over
-    all vector pairs within the bound; infinite bases get seeded samples.
-    """
+def _vector_law_check(m: IsoMap, trials, seed, bound):
+    """Additivity and equivariance on vector pairs: every pair of a finite
+    space within the bound, plus bijectivity, or ``trials`` seeded draws of
+    u, v and alpha over an infinite base; both compared within tolerance."""
     src, tgt = m.source, m.target
     base = src.base
-    mode = None
-    violations = []
-    checked = 0
-    if base.is_finite and m.is_basis_aligned():
-        mode = "exhaustive-by-component"
-        checked, violations = _aligned_component_check(m)
-    elif base.is_finite:
+    if base.is_finite:
         mode = "exhaustive"
         vectors = src.all_vectors(bound)
         if len(vectors) ** 2 > bound:
             raise BoundExceededError(
                 f"{len(vectors)}^2 vector pairs exceed the bound {bound}"
             )
-        images = {v: m.apply(v) for v in vectors}
-        for u in vectors:
-            for v in vectors:
-                if images[src.add(u, v)] != tgt.add(images[u], images[v]):
-                    violations.append({"law": "additive", "pair": (u, v)})
-                checked += 1
-        for alpha in base.elements():
-            for v in vectors:
-                if m.apply(src.scale(alpha, v)) != tgt.scale(alpha, images[v]):
-                    violations.append({"law": "equivariant", "alpha": alpha})
-                checked += 1
-        if len({images[v] for v in vectors}) != len(vectors):
-            violations.append({"law": "bijective"})
+        sums = itertools.product(vectors, repeat=2)
+        scalings = itertools.product(base.elements(), vectors)
     else:
         mode = "sampled"
         rng = random.Random(seed)
@@ -188,18 +169,39 @@ def verify_iso(m: IsoMap, trials: int = 1000, seed: int = 0, bound=DEFAULT_BRUTE
                 }
             )
 
+        sums, scalings = [], []
         for _ in range(trials):
             u, v = draw_vector(), draw_vector()
-            lhs = m.apply(src.add(u, v))
-            rhs = tgt.add(m.apply(u), m.apply(v))
-            if not tgt.vectors_equal(lhs, rhs):
-                violations.append({"law": "additive", "pair": (u, v)})
-            alpha = rng.choice(points)
-            if not tgt.vectors_equal(
-                m.apply(src.scale(alpha, u)), tgt.scale(alpha, m.apply(u))
-            ):
-                violations.append({"law": "equivariant", "alpha": alpha})
-            checked += 2
+            sums.append((u, v))
+            scalings.append((rng.choice(points), u))
+    image = functools.cache(m.apply)
+    violations = []
+    checked = 0
+    for u, v in sums:
+        if not tgt.vectors_equal(image(src.add(u, v)), tgt.add(image(u), image(v))):
+            violations.append({"law": "additive", "pair": (u, v)})
+        checked += 1
+    for alpha, v in scalings:
+        if not tgt.vectors_equal(image(src.scale(alpha, v)), tgt.scale(alpha, image(v))):
+            violations.append({"law": "equivariant", "alpha": alpha})
+        checked += 1
+    if base.is_finite and len({image(v) for v in vectors}) != len(vectors):
+        violations.append({"law": "bijective"})
+    return mode, checked, violations
+
+
+def verify_iso(m: IsoMap, trials: int = 1000, seed: int = 0, bound=DEFAULT_BRUTE_BOUND) -> Report:
+    """Check that the map preserves sums and the scalar action.
+
+    Basis-aligned maps over finite bases are checked exhaustively per
+    component (which covers every vector pair); other finite maps on all
+    vector pairs within the bound; infinite bases on seeded samples.
+    """
+    if m.source.base.is_finite and m.is_basis_aligned():
+        mode = "exhaustive-by-component"
+        checked, violations = _aligned_component_check(m)
+    else:
+        mode, checked, violations = _vector_law_check(m, trials, seed, bound)
     return Report(
         name="iso_map",
         passed=not violations,

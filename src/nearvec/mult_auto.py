@@ -64,9 +64,6 @@ class MultAuto:
         """The parameters that fix the map within its family and base."""
         raise NotImplementedError
 
-    def __call__(self, x):
-        return self.apply(x)
-
     def __eq__(self, other):
         return (
             type(self) is type(other)

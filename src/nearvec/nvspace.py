@@ -142,10 +142,6 @@ class Partition:
                     raise NearVecError(f"label {label} appears in two blocks")
                 self._member_block[label] = b
 
-    @property
-    def representatives(self):
-        return tuple(b[0] for b in self.blocks)
-
     def block_of(self, label):
         return self._member_block[label]
 

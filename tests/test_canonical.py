@@ -134,6 +134,27 @@ def test_verify_iso_sampled_real():
     assert rep.details["mode"] == "sampled"
 
 
+def test_verify_iso_sampled_detects_corrupted_map():
+    spec = exponent_space(REALS, [1.0, 3.0])
+    target, m = normal_form_sigma(spec)
+    corrupted = IsoMap(
+        spec, target, {"1": m.basis_images["2"], "2": m.basis_images["1"]}
+    )
+    rep = verify_iso(corrupted, trials=150, seed=3)
+    assert not rep.passed
+    assert rep.details == {"mode": "sampled", "checked": 300}
+    assert 0 < len(rep.violations) <= 20
+    additive = [
+        v for v in json.loads(json.dumps(rep.to_json()))["violations"]
+        if v["law"] == "additive"
+    ]
+    assert additive
+    # each pair holds the two sampled vectors as {label: real}
+    for v in additive:
+        assert len(v["pair"]) == 2
+        assert all(isinstance(x, float) for u in v["pair"] for x in u.values())
+
+
 def test_is_multiplicative_with_certificates(gf5):
     spec = exponent_space(gf5, [1, 3])
     ok, certs = is_multiplicative(spec)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from nearvec.cli import main
+from nearvec.serialize import vector_to_json
 
 BENCH_CLI_CALLS = Path(__file__).resolve().parents[1] / "bench" / "cli_calls.py"
 
@@ -64,6 +65,34 @@ def test_autos_inline_base(capsys):
     assert data["properties_pass"] is True
 
 
+def test_autos_bound(capsys):
+    # GF(5): 2 automorphisms x 5^2 element pairs = 50 property-check pairs
+    gf5 = '{"kind":"gf","p":5,"n":1}'
+    code, out, _ = run_cli(capsys, "autos", gf5, "--bound", "50")
+    assert code == 0 and json.loads(out)["count"] == 2
+    code, out, err = run_cli(capsys, "autos", gf5, "--bound", "49")
+    assert code == 2 and out == ""
+    assert err == "error: 2 automorphisms x 5^2 pairs exceed the bound 49\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["autos", '{"kind":"gf","p":5,"n":1}'],
+        ["check-base", '{"kind":"real"}'],
+        ["complexify", '{"T": [1]}'],
+        ["space", "spec.json", "qk"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_only_on_classify(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--format" in captured.err
+
+
 def test_autos_dickson(capsys):
     code, out, _ = run_cli(capsys, "autos", '{"kind":"dickson9"}')
     assert code == 0
@@ -105,6 +134,26 @@ def test_space_oracle_compare(capsys, spec_file):
     assert code == 0
     data = json.loads(out)
     assert data["identical"] is True and data["count"] == 9
+
+
+def test_space_oracle_compare_mismatch(capsys, monkeypatch, spec_file):
+    import nearvec.cli
+
+    real = nearvec.cli.materialize_quasi_kernel
+    dropped = []
+
+    def drop_one(spec, *args, **kwargs):
+        members = set(real(spec, *args, **kwargs))
+        dropped.append(max((v for v in members if not v.is_zero()), key=repr))
+        return frozenset(members - {dropped[0]})
+
+    monkeypatch.setattr(nearvec.cli, "materialize_quasi_kernel", drop_one)
+    code, out, _ = run_cli(capsys, "space", spec_file, "oracle-compare")
+    assert code == 1
+    data = json.loads(out)
+    assert data["identical"] is False and data["count"] == 9
+    assert data["only_bruteforce"] == [vector_to_json(dropped[0])]
+    assert data["only_closed_form"] == []
 
 
 def test_space_axioms(capsys, spec_file):

@@ -1,5 +1,7 @@
 """Base structures: axioms, induced additions, distributive parts."""
 
+import json
+import math
 import random
 
 import pytest
@@ -71,9 +73,53 @@ def test_scalar_group_axioms_dickson(d9):
     assert scalar_group_axiom_check(d9).passed
 
 
-def test_scalar_group_axioms_needs_finite():
-    with pytest.raises(UnsupportedBaseError):
-        scalar_group_axiom_check(REALS)
+@pytest.mark.parametrize("base", [REALS, COMPLEXES], ids=["real", "complex"])
+def test_scalar_group_axioms_sampled_bases(base):
+    # the first ten grid points, under the name and details check-base prints
+    report = scalar_group_axiom_check(base)
+    assert report.passed
+    assert report.name == "scalar_group_axioms_sampled"
+    assert report.details == {"points": 10}
+
+
+class _SkewGF5(GaloisField):
+    """GF(5) with the single product 2 . 2 changed from 4 to 3."""
+
+    def __init__(self):
+        super().__init__(5, 1)
+
+    def mul(self, x, y):
+        two = self.from_int(2)
+        if x == two and y == two:
+            return self.from_int(3)
+        return super().mul(x, y)
+
+
+class _RoundedReals(RealField):
+    """Reals whose products are rounded to two decimals."""
+
+    def mul(self, x, y):
+        return round(x * y, 2)
+
+
+def _located_and_serializable(report):
+    assert not report.passed
+    assert 0 < len(report.violations) <= 20
+    assert all({"x", "pair", "triple"} & set(v) for v in report.violations)
+    return json.loads(json.dumps(report.to_json()))["violations"]
+
+
+def test_scalar_group_axioms_failures_are_located():
+    skew = _located_and_serializable(scalar_group_axiom_check(_SkewGF5()))
+    assert {v["axiom"] for v in skew} == {"associativity"}
+    # (2 . 2) . 3 = 3 . 3 = 4, but 2 . (2 . 3) = 2 . 1 = 2
+    assert {"axiom": "associativity", "triple": [[2], [2], [3]]} in skew
+    rounded = _located_and_serializable(scalar_group_axiom_check(_RoundedReals()))
+    assert len(rounded) == 20  # truncated
+    assert {"axiom": "identity", "x": -math.e} in rounded
+    # below the float rounding of the grid, complex triples fail associativity
+    tight = _located_and_serializable(scalar_group_axiom_check(ComplexField(1e-300)))
+    assert any(len(v.get("triple", ())) == 3 for v in tight)
 
 
 def test_dickson_multiplication_structure(d9):
