@@ -11,8 +11,12 @@ Subcommands:
 * ``complexify FILE``     extend a real exponent file to the complexes and
                           run the extension checks
 * ``check-base BASE``     scalar-group axioms and basic structure of a base:
-                          every element triple of a finite base, the first
-                          ten grid points of the reals and complexes
+                          two sweeps over the element triples of a finite
+                          base, refused when 2 * q^3 exceeds --bound, or the
+                          first ten grid points of the reals and complexes
+
+``--bound`` goes to autos, space and check-base, ``--tol`` to space,
+complexify and check-base, ``--seed`` to complexify alone.
 
 Output is a single JSON document on stdout (``classify --format tsv``
 prints a TSV table instead); diagnostics go to stderr and nothing is
@@ -36,7 +40,12 @@ from .complexify import (
 from .errors import BoundExceededError, NearVecError
 from .galois import unit_classification
 from .mult_auto import enumerate_mult_autos, mult_properties_check, same_addition
-from .nearfield import DEFAULT_BRUTE_BOUND, distributive_elements, scalar_group_axiom_check
+from .nearfield import (
+    DEFAULT_BRUTE_BOUND,
+    DEFAULT_TOLERANCE,
+    distributive_elements,
+    scalar_group_axiom_check,
+)
 from .nvspace import (
     decomposition_classes,
     first_representative_classes,
@@ -79,7 +88,7 @@ def cmd_classify(args):
 
 
 def cmd_autos(args):
-    base = base_from_json(_load_json_arg(args.base), tolerance=args.tol)
+    base = base_from_json(_load_json_arg(args.base))
     autos = enumerate_mult_autos(base)
     # the property checks below sweep every element pair once per automorphism
     q = base.order()
@@ -185,7 +194,7 @@ def cmd_complexify(args):
                 "check": "minimal_poly_residual",
                 "alpha": alpha,
                 "residual": residual,
-                "passed": residual <= (args.tol or 1e-9),
+                "passed": residual <= (args.tol or DEFAULT_TOLERANCE),
             }
         )
         checks.append(conj_pair_check(alpha).to_json())
@@ -212,10 +221,13 @@ def cmd_check_base(args):
 
 
 def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-    shared.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    shared.add_argument(
+    # each flag goes only to the subcommands that read it
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument(
         "--bound", type=int, default=DEFAULT_BRUTE_BOUND, help="size cap for exhaustive sweeps"
     )
 
@@ -226,21 +238,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser(
-        "classify", parents=[shared], help="induced-addition classes of GF(p^n)"
-    )
+    c = sub.add_parser("classify", help="induced-addition classes of GF(p^n)")
     c.add_argument("p", type=int)
     c.add_argument("n", type=int)
     c.add_argument("--format", choices=("json", "tsv"), default="json")
     c.set_defaults(func=cmd_classify)
 
-    a = sub.add_parser(
-        "autos", parents=[shared], help="enumerate automorphisms of a finite base"
-    )
+    a = sub.add_parser("autos", parents=[bound], help="enumerate automorphisms of a finite base")
     a.add_argument("base", help="base descriptor: inline JSON or a file path")
     a.set_defaults(func=cmd_autos)
 
-    s = sub.add_parser("space", parents=[shared], help="analyze a space file")
+    s = sub.add_parser("space", parents=[tol, bound], help="analyze a space file")
     s.add_argument("spec", help="space file: inline JSON or a file path")
     s.add_argument(
         "action",
@@ -248,16 +256,12 @@ def build_parser():
     )
     s.set_defaults(func=cmd_space)
 
-    x = sub.add_parser(
-        "complexify", parents=[shared], help="extend a real exponent file to C"
-    )
+    x = sub.add_parser("complexify", parents=[tol, seed], help="extend a real exponent file to C")
     x.add_argument("cspec", help='{"T": [...], "S": [...]}: inline JSON or a path')
     x.add_argument("--conj", action="store_true", help="conjugating extension")
     x.set_defaults(func=cmd_complexify)
 
-    b = sub.add_parser(
-        "check-base", parents=[shared], help="axioms and structure of a base"
-    )
+    b = sub.add_parser("check-base", parents=[tol, bound], help="axioms and structure of a base")
     b.add_argument("base", help="base descriptor: inline JSON or a file path")
     b.set_defaults(func=cmd_check_base)
 

@@ -4,7 +4,8 @@ The real base has one sign-preserving power automorphism per nonzero
 exponent, and distinct exponents induce distinct additions, so a product of
 axes with pairwise distinct exponents has a quasi-kernel made of the axes
 alone; ``axis_quasi_kernel_report`` demonstrates that at any finite size
-with explicit failing scalar pairs for cross-axis vectors.
+with explicit failing scalar pairs for cross-axis vectors, and the scalar
+each pair requires on each axis alone (the anchored scalar of that label).
 
 A real space with power twists extends to a complex one by replacing each
 real power with the modulus-power map on the complexes, either as is or
@@ -203,18 +204,9 @@ def axis_quasi_kernel_report(exponents) -> Report:
             violations.append({"kind": "multi-support-accepted", "vector": v.entries})
         else:
             a, b = witness
-            w = spec.add(spec.scale(a, v), spec.scale(b, v))
-            gammas = {
-                label: _anchor_scalar(spec, v.restrict([label]), w.restrict([label]))
-                for label in v.support
-                if w.get(label) is not None
-            }
+            gammas = {k: _anchor_scalar(spec, v.restrict([k]), a, b) for k in v.support}
             witnesses.append(
-                {
-                    "vector": v.entries,
-                    "witness_pair": [a, b],
-                    "required_gammas": gammas,
-                }
+                {"vector": v.entries, "witness_pair": [a, b], "required_gammas": gammas}
             )
     return Report(
         name="axis_quasi_kernel",

@@ -19,7 +19,9 @@ smallest labels, so every partition, report and materialized set is
 deterministic.  Exhaustive sweeps run over integer-indexed operation
 tables built once per spec; bounds are explicit and exceeding one raises
 instead of truncating.  Membership of a single vector (``in_quasi_kernel``)
-checks the q^2 scalar pairs of that vector alone and needs no bound.
+checks the q^2 scalar pairs of that vector alone and needs no bound: each
+pair costs |supp u| scalar operations and builds no vector, because
+``_anchor_scalar`` forms a.u + b.u coordinate by coordinate.
 
 The brute-force quasi-kernel regroups the definition: the scalar g with
 a.u + b.u = g.u on coordinate i depends only on (i, u_i), so the tables
@@ -531,17 +533,21 @@ def quasi_kernel_bruteforce(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND):
     return frozenset(tables.to_sparse(v) for v in tables.quasi_kernel())
 
 
-def _anchor_scalar(spec: SpaceSpec, u: SparseVector, w: SparseVector):
-    """The scalar g with g.u = w, solved on the smallest support label of
-    the nonzero u and verified on the rest; None when no g fits."""
+def _anchor_scalar(spec: SpaceSpec, u: SparseVector, a, b):
+    """The scalar g with a.u + b.u = g.u for the nonzero u, or None.  One
+    pass over the sorted support forms w_i = rho_i(a) u_i (+)_sigma_i
+    rho_i(b) u_i, solves g on the first label and checks it on every label."""
     base = spec.base
-    t = u.support[0]
-    wt = spec.component(w, t)
-    if base.is_zero(wt):
-        gamma = base.zero
-    else:
-        gamma = spec.rho[t].inverse().apply(base.mul(wt, base.inv(u.get(t))))
-    return gamma if spec.vectors_equal(spec.scale(gamma, u), w) else None
+    gamma = None
+    for label, x in u:
+        rho = spec.rho[label]
+        ax, bx = base.mul(rho.apply(a), x), base.mul(rho.apply(b), x)
+        w = induced_add(base, spec.sigma[label], ax, bx)
+        if gamma is None:
+            gamma = base.zero if base.is_zero(w) else rho.inverse().apply(base.mul(w, base.inv(x)))
+        if not base.eq(base.mul(rho.apply(gamma), x), w):
+            return None
+    return gamma
 
 
 def in_quasi_kernel(spec: SpaceSpec, v: SparseVector):
@@ -562,9 +568,8 @@ def in_quasi_kernel(spec: SpaceSpec, v: SparseVector):
     else:
         values = COMPLEX_MEMBERSHIP_VALUES
     for a in values:
-        av = spec.scale(a, v)
         for b in values:
-            if _anchor_scalar(spec, v, spec.add(av, spec.scale(b, v))) is None:
+            if _anchor_scalar(spec, v, a, b) is None:
                 return False, (a, b)
     return True, None
 
@@ -572,13 +577,13 @@ def in_quasi_kernel(spec: SpaceSpec, v: SparseVector):
 def anchored_add(spec: SpaceSpec, u: SparseVector, a, b):
     """The scalar g with a.u + b.u = g.u, for u in the quasi-kernel.
 
-    g is solved on the smallest support label and verified on the rest;
+    g is solved on the smallest support label and verified on every label;
     an inconsistency means u is not a valid anchor and raises.
     """
     if u.is_zero():
         raise InvalidAnchorError("anchor vector is zero")
     a, b = spec.base.check(a), spec.base.check(b)
-    gamma = _anchor_scalar(spec, u, spec.add(spec.scale(a, u), spec.scale(b, u)))
+    gamma = _anchor_scalar(spec, u, a, b)
     if gamma is None:
         raise InvalidAnchorError(
             f"no consistent scalar for anchor {u!r} at pair ({a!r}, {b!r})"

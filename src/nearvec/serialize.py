@@ -18,7 +18,7 @@ forms inside report records.
 import functools
 
 from .complexify import ComplexificationSpec
-from .errors import NearVecError
+from .errors import BoundExceededError, NearVecError
 from .galois import _check_order
 from .mult_auto import (
     ComplexEps,
@@ -29,13 +29,7 @@ from .mult_auto import (
     compose,
     identity_auto,
 )
-from .nearfield import (
-    ComplexField,
-    Dickson9,
-    GaloisField,
-    RealField,
-    _check_triples,
-)
+from .nearfield import ComplexField, Dickson9, GaloisField, RealField
 from .nvspace import SparseVector, SpaceSpec
 
 
@@ -87,14 +81,16 @@ def _complex(obj, what):
 
 
 def base_from_json(obj, tolerance=None, bound=None):
-    """The base a record describes.  With a ``bound``, a Galois field whose
-    q^3 element triples exceed it is refused before its tables are built."""
+    """The base a record describes.  With a ``bound``, a Galois field is
+    refused before its tables are built when the two sweeps over its q^3
+    element triples that ``check-base`` runs (associativity and the
+    distributive elements) exceed it."""
     obj = _record(obj, "base")
     kind = obj.get("kind")
     if kind == "gf":
         p, n = (_integer(_field(obj, key, "base"), key) for key in ("p", "n"))
-        if bound is not None:
-            _check_triples(_check_order(p, n), bound)
+        if bound is not None and 2 * _check_order(p, n) ** 3 > bound:
+            raise BoundExceededError(f"2*{p**n}^3 triples exceed the bound {bound}")
         base = GaloisField(p, n)
         given = obj.get("modulus")
         if given is not None and [

@@ -93,6 +93,29 @@ def test_format_only_on_classify(capsys, argv):
     assert captured.out == "" and "--format" in captured.err
 
 
+# --seed, --tol and --bound each belong to the subcommands that read them
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "2", "3"], "--seed"),
+        (["classify", "2", "3"], "--tol"),
+        (["classify", "2", "3"], "--bound"),
+        (["autos", '{"kind":"gf","p":5,"n":1}'], "--seed"),
+        (["autos", '{"kind":"gf","p":5,"n":1}'], "--tol"),
+        (["space", "spec.json", "qk"], "--seed"),
+        (["complexify", '{"T": [1]}'], "--bound"),
+        (["check-base", '{"kind":"real"}'], "--seed"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else x[0],
+)
+def test_flags_only_where_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
 def test_autos_dickson(capsys):
     code, out, _ = run_cli(capsys, "autos", '{"kind":"dickson9"}')
     assert code == 0
@@ -415,6 +438,16 @@ def test_check_base_bound(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "bound" in err and err.count("\n") == 1
+
+
+def test_check_base_charges_both_triple_sweeps(capsys):
+    # associativity and the distributive elements each sweep the 5^3 triples
+    gf5 = '{"kind":"gf","p":5,"n":1}'
+    code, out, err = run_cli(capsys, "check-base", gf5, "--bound", "249")
+    assert code == 2 and out == ""
+    assert err == "error: 2*5^3 triples exceed the bound 249\n"
+    code, out, _ = run_cli(capsys, "check-base", gf5, "--bound", "250")
+    assert code == 0 and json.loads(out)["distributive_size"] == 5
 
 
 def test_check_base_bound_before_build(capsys, monkeypatch):

@@ -4,17 +4,20 @@ compatibility of the members agrees with the brute-force regularity test
 and is invariant under scaling either vector, the materialized closed
 form equals the brute-force quasi-kernel over the Galois fields, every
 multiplicativity certificate reproduces the anchored addition it
-certifies, composition, inversion and the JSON forms of automorphisms
+certifies, membership and the anchored addition equal their vector-built
+reference, composition, inversion and the JSON forms of automorphisms
 obey their laws, and spaces and vectors survive their JSON forms."""
 
 import functools
 import json
 from math import gcd
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearvec.canonical import is_multiplicative
+from nearvec.errors import InvalidAnchorError
 from nearvec.mult_auto import (
     ComplexEps,
     FinitePower,
@@ -27,6 +30,8 @@ from nearvec.mult_auto import (
 )
 from nearvec.nearfield import COMPLEXES, REALS, Dickson9, GaloisField, induced_add
 from nearvec.nvspace import (
+    COMPLEX_MEMBERSHIP_VALUES,
+    REAL_MEMBERSHIP_VALUES,
     SpaceSpec,
     anchored_add,
     compatible,
@@ -283,3 +288,52 @@ def test_spec_and_vector_json_round_trip(case):
     again = spec_from_json(json.loads(json.dumps(blob)))
     assert again.describe() == blob
     assert vector_from_json(again, json.loads(json.dumps(vector_to_json(v)))) == v
+
+
+def reference_anchor(spec, u, a, b):
+    """g with a.u + b.u = g.u built from whole vectors: scale, add, solve
+    on the first support label, compare g.u with the sum; None if no g."""
+    base = spec.base
+    w = spec.add(spec.scale(a, u), spec.scale(b, u))
+    t = u.support[0]
+    wt = spec.component(w, t)
+    if base.is_zero(wt):
+        g = base.zero
+    else:
+        g = spec.rho[t].inverse().apply(base.mul(wt, base.inv(u.get(t))))
+    return g if spec.vectors_equal(spec.scale(g, u), w) else None
+
+
+def membership_values(base):
+    if base.is_finite:
+        return base.elements()
+    return REAL_MEMBERSHIP_VALUES if base == REALS else COMPLEX_MEMBERSHIP_VALUES
+
+
+def subnormal_complex_axis():
+    """One complex label with a subnormal component: 1/u overflows, the
+    solved g is NaN, and only the check on the first label rejects it."""
+    e = ComplexEps(COMPLEXES, 1.0)
+    spec = SpaceSpec(COMPLEXES, {"1": e}, {"1": e})
+    return spec, spec.vector({"1": complex(1e-310, 0.0)})
+
+
+@COMPOSE_SETTINGS
+@given(json_specs())
+@example(subnormal_complex_axis())
+def test_anchored_scalar_matches_vector_reference(case):
+    spec, v = case
+    values = membership_values(spec.base)
+    expected = True, None
+    if not v.is_zero():
+        anchors = {(a, b): reference_anchor(spec, v, a, b) for a in values for b in values}
+        failing = [pair for pair, g in anchors.items() if g is None]
+        if failing:
+            expected = False, failing[0]
+        for (a, b), g in anchors.items():
+            if g is None:
+                with pytest.raises(InvalidAnchorError):
+                    anchored_add(spec, v, a, b)
+            else:
+                assert repr(anchored_add(spec, v, a, b)) == repr(g), (a, b)
+    assert in_quasi_kernel(spec, v) == expected
