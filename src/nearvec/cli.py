@@ -15,8 +15,8 @@ Subcommands:
                           base, refused when 2 * q^3 exceeds --bound, or the
                           first ten grid points of the reals and complexes
 
-``--bound`` goes to autos, space and check-base, ``--tol`` to space,
-complexify and check-base, ``--seed`` to complexify alone.
+``--bound`` goes to autos, space and check-base, a positive finite ``--tol``
+to space, complexify and check-base, ``--seed`` to complexify alone.
 
 Output is a single JSON document on stdout (``classify --format tsv``
 prints a TSV table instead); diagnostics go to stderr and nothing is
@@ -221,9 +221,14 @@ def cmd_check_base(args):
 
 
 def build_parser():
+    def tolerance(text):  # argparse reports a ValueError as an invalid --tol
+        if not 0 < float(text) < float("inf"):  # nan fails this too
+            raise ValueError(text)
+        return float(text)
+
     # each flag goes only to the subcommands that read it
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+    tol.add_argument("--tol", type=tolerance, default=None, help="positive finite tolerance")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     bound = argparse.ArgumentParser(add_help=False)
@@ -273,7 +278,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NearVecError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (NearVecError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -8,7 +8,8 @@ addition unchanged (see ``same_addition``).  The concrete families are
 * ``RealPower``     sign-preserving powers of the reals, nonzero exponent;
 * ``ComplexEps``    z = r s -> r^a s (optionally conjugating the unit part
                     s), Re a != 0, the principal real log of the modulus;
-* ``PermAuto``      an explicit multiplicative bijection of a finite base;
+* ``PermAuto``      an explicit multiplicative bijection of a finite base,
+                    fixed on a non-Galois one by its generators' images;
 * ``InnerAuto``     conjugation x -> g^-1 x g, trivial on commutative bases.
 
 Each family states its parameters once, in ``_params``; ``MultAuto``
@@ -26,7 +27,6 @@ import cmath
 import itertools
 import math
 import random
-from math import gcd
 
 from .errors import BaseMismatchError, NearVecError, UnsupportedBaseError
 from .nearfield import BaseStructure, is_nearfield_automorphism
@@ -88,7 +88,7 @@ class FinitePower(MultAuto):
         m = base.order() - 1
         # the residue in [1, m]: on GF(2), m = 1 and every exponent is 1
         self.alpha = alpha % m or m
-        if gcd(self.alpha, m) != 1:
+        if math.gcd(self.alpha, m) != 1:
             raise NearVecError(f"exponent {alpha} is not a unit mod {m}")
 
     def apply(self, x):
@@ -320,54 +320,48 @@ def compose(a: MultAuto, b: MultAuto) -> MultAuto:
     return identity_auto(a.base) if product.is_identity() else product
 
 
+def _cayley_map(base, gens, images):
+    """phi on the subgroup ``gens`` span, grown from phi(1) = 1 along the
+    Cayley graph as phi(x g) = phi(x) image(g); None when two paths to one
+    element disagree.  Agreeing on every edge makes phi a homomorphism."""
+    phi = {base.one: base.one}
+    reached = [base.one]
+    for x in reached:
+        for g, h in zip(gens, images):
+            y, fy = base.mul(x, g), base.mul(phi[x], h)
+            if y not in phi:
+                phi[y] = fy
+                reached.append(y)
+            elif phi[y] != fy:
+                return None
+    return phi
+
+
 def enumerate_mult_autos(base: BaseStructure) -> list:
     """Every multiplicative automorphism of a finite base.
 
     Galois fields get one power map per unit exponent.  Other finite bases
-    are searched by brute force over the bijections of the nonzero elements
-    that preserve multiplicative order, returned as tables.
+    pick generators greedily, each the first that most grows the spanned
+    subgroup, and keep as tables the bijective ``_cayley_map`` of every
+    tuple of nonzero images: (q - 1)^k tuples for k generators.
     """
     if not base.is_finite:
         raise UnsupportedBaseError("only finite bases are enumerable")
     if base.kind == "gf":
         m = base.order() - 1
-        return [FinitePower(base, a) for a in range(1, m + 1) if gcd(a, m) == 1]
+        return [FinitePower(base, a) for a in range(1, m + 1) if math.gcd(a, m) == 1]
 
     els = base.elements()
     nonzero = base.nonzero_elements()
-
-    def mult_order(x):
-        k, acc = 1, x
-        while acc != base.one:
-            acc = base.mul(acc, x)
-            k += 1
-        return k
-
-    by_order = {}
-    for x in nonzero:
-        by_order.setdefault(mult_order(x), []).append(x)
-    class_keys = sorted(by_order)
+    gens = []
+    while len(_cayley_map(base, gens, gens)) < len(nonzero):
+        gens.append(max(nonzero, key=lambda g: len(_cayley_map(base, [*gens, g], [*gens, g]))))
 
     found = []
-    for images in itertools.product(
-        *(itertools.permutations(by_order[k]) for k in class_keys)
-    ):
-        table = {base.zero: base.zero}
-        for k, img in zip(class_keys, images):
-            for x, y in zip(by_order[k], img):
-                table[x] = y
-        if table[base.one] != base.one:
-            continue
-        ok = True
-        for x in nonzero:
-            for y in nonzero:
-                if table[base.mul(x, y)] != base.mul(table[x], table[y]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(PermAuto(base, table))
+    for images in itertools.product(nonzero, repeat=len(gens)):
+        phi = _cayley_map(base, gens, images)
+        if phi is not None and len(set(phi.values())) == len(nonzero):
+            found.append(PermAuto(base, {base.zero: base.zero, **phi}))
     found.sort(key=lambda a: tuple(els.index(v) for v in a._signature))
     return found
 

@@ -29,7 +29,7 @@ from .mult_auto import (
     compose,
     identity_auto,
 )
-from .nearfield import ComplexField, Dickson9, GaloisField, RealField
+from .nearfield import DEFAULT_TOLERANCE, ComplexField, Dickson9, GaloisField, RealField
 from .nvspace import SparseVector, SpaceSpec
 
 
@@ -104,7 +104,7 @@ def base_from_json(obj, tolerance=None, bound=None):
     if kind == "dickson9":
         return Dickson9()
     if kind in ("real", "complex"):
-        tolerance = tolerance or _real(obj.get("tolerance", 1e-9), "tolerance")
+        tolerance = tolerance or _real(obj.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
         return (RealField if kind == "real" else ComplexField)(tolerance)
     raise NearVecError(f"unknown base kind {kind!r}")
 

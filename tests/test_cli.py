@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nearvec.cli import main
+from nearvec.cli import build_parser, main
 from nearvec.serialize import vector_to_json
 
 BENCH_CLI_CALLS = Path(__file__).resolve().parents[1] / "bench" / "cli_calls.py"
@@ -114,6 +114,34 @@ def test_flags_only_where_read(capsys, argv, flag):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and flag in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["space", "spec.json", "qk"], ["complexify", '{"T": [1, 3]}'], ["check-base", '{"kind":"real"}']],
+    ids=lambda argv: argv[0],
+)
+def test_tol_must_be_positive_and_finite(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
+    assert build_parser().parse_args(argv + ["--tol", "1e-6"]).tol == 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["autos", "FILE"], ["space", "FILE", "qk"], ["complexify", "FILE"], ["check-base", "FILE"]],
+    ids=lambda argv: argv[0],
+)
+def test_non_utf8_file_is_bad_input(capsys, tmp_path, argv):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_autos_dickson(capsys):

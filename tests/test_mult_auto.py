@@ -1,5 +1,7 @@
 """Automorphism application, composition, inversion, enumeration."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -213,6 +215,82 @@ def test_enumeration_counts(gf5, gf8, d9_autos):
     assert len({a._signature for a in d9_autos}) == 24
     with pytest.raises(UnsupportedBaseError):
         enumerate_mult_autos(REALS)
+
+
+def _order_class_search(base):
+    """Reference enumeration: every bijection of the nonzero elements that
+    preserves multiplicative order and every product, ordered by the
+    positions of the images in element order."""
+    els, nonzero = base.elements(), base.nonzero_elements()
+
+    def order(x):
+        k, acc = 1, x
+        while acc != base.one:
+            acc, k = base.mul(acc, x), k + 1
+        return k
+
+    by_order = {}
+    for x in nonzero:
+        by_order.setdefault(order(x), []).append(x)
+    classes = [by_order[k] for k in sorted(by_order)]
+    found = []
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        table = {base.zero: base.zero}
+        for cls, img in zip(classes, images):
+            table.update(zip(cls, img))
+        if all(
+            table[base.mul(x, y)] == base.mul(table[x], table[y])
+            for x in nonzero
+            for y in nonzero
+        ):
+            found.append(tuple(table[x] for x in els))
+    return sorted(found, key=lambda sig: tuple(els.index(v) for v in sig))
+
+
+class _FieldAsGroup(GaloisField):
+    """A Galois field the enumeration does not recognise as one, so its
+    automorphisms come from generator images like any finite base's."""
+
+    kind = "gf-as-group"
+
+
+class _GroupZ2xZ4(_FieldAsGroup):
+    """The elements of GF(9) with the product of Z2 x Z4 on the nonzero
+    ones (log k stands for (k mod 2, k div 2)).  Not cyclic, and the
+    generator images include bijections that break a relation, so a
+    table grown along the Cayley graph must reject disagreeing paths."""
+
+    def __init__(self):
+        super().__init__(3, 2)
+
+    def mul(self, x, y):
+        if x == self.zero or y == self.zero:
+            return self.zero
+        a, b = self.log[x], self.log[y]
+        return self.antilog[(a + b) % 2 + 2 * ((a // 2 + b // 2) % 4)]
+
+
+@pytest.mark.parametrize("maker", [Dickson9, _GroupZ2xZ4], ids=["d9", "z2xz4"])
+def test_enumeration_matches_order_class_search(maker):
+    base = maker()
+    expected = _order_class_search(base)
+    assert len(expected) == {Dickson9: 24, _GroupZ2xZ4: 8}[maker]
+    assert [a._signature for a in enumerate_mult_autos(base)] == expected
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3)])
+def test_field_enumerated_as_group_gives_power_maps(p, n):
+    base = _FieldAsGroup(p, n)
+    autos = enumerate_mult_autos(base)
+    assert all(isinstance(a, PermAuto) for a in autos)
+    m = base.order() - 1
+    powers = {
+        tuple(base.pow(x, a) for x in base.elements())
+        for a in range(1, m + 1)
+        if math.gcd(a, m) == 1
+    }
+    assert len(autos) == len(powers)
+    assert {a._signature for a in autos} == powers
 
 
 def test_enumerated_autos_satisfy_properties(gf8, d9_autos):
