@@ -3,9 +3,10 @@
 Elements are ``GFElement`` coefficient tuples over GF(p), constant term
 first; they hash and compare as the plain tuple of their residues.
 ``gf_build(p, n)`` returns a field's tables: the monic irreducible modulus,
-the elements, and discrete log and antilog tables over a fixed generator;
-``nearfield.GaloisField`` holds them, so products, inverses and powers are
-table lookups.  Construction is deterministic:
+the elements, discrete log and antilog tables over a fixed generator, and
+the Zech logarithms (1 + g^k = g^zech[k]); ``nearfield.GaloisField`` holds
+them, so sums, negations, products, inverses and powers are table lookups.
+Construction is deterministic:
 
 * the modulus is the first irreducible found when monic degree-n polynomials
   are scanned in lexicographic order of their coefficient tuple (constant
@@ -16,7 +17,9 @@ table lookups.  Construction is deterministic:
 
 The tables are built on integer codes and plain lists: the antilog walk
 multiplies the code of g^e by g as a GF(p)-linear map, looked up on the
-low and high halves of its digits and summed digitwise.
+low and high halves of its digits and summed digitwise.  Adding one to an
+element changes only its constant digit, so the Zech table reads the code
+of 1 + g^k straight off the code of g^k.
 
 Fields beyond ``DEFAULT_MAX_ORDER`` elements are refused.
 
@@ -28,6 +31,7 @@ so the orbit count is the number of distinct induced additions.
 
 import itertools
 import operator
+from array import array
 from dataclasses import dataclass
 from math import gcd
 
@@ -192,9 +196,10 @@ def _walk(p, n, modulus, g, m):
 
 def gf_build(p: int, n: int) -> tuple:
     """The tables of GF(p^n) as (modulus, elements, generator, log,
-    antilog): elements in integer encoding order, log maps a nonzero
-    element to its exponent in [0, p^n - 1), antilog is the reverse map.
-    Deterministic modulus and generator choice."""
+    antilog, zech): elements in integer encoding order, log maps a nonzero
+    element to its exponent in [0, p^n - 1), antilog is the reverse map,
+    and zech is an ``array("i")`` with 1 + g^k = g^zech[k], or -1 where
+    1 + g^k = 0.  Deterministic modulus and generator choice."""
     q = _check_order(p, n)
     if n < 1:
         raise NearVecError(f"degree must be positive, got {n}")
@@ -211,12 +216,20 @@ def gf_build(p: int, n: int) -> tuple:
     else:
         raise NearVecError(f"no generator found for GF({p}^{n}); table bug")
 
-    antilog = dict(enumerate(map(elements.__getitem__, _walk(p, n, modulus, g, m))))
+    codes = _walk(p, n, modulus, g, m)
+    # the exponent of each code, -1 for the code 0 of zero
+    exponent = array("i", [-1]) * q
+    for k, c in enumerate(codes):
+        exponent[c] = k
+    zech = array("i", [exponent[c - c % p + (c + 1) % p] for c in codes])
+    del exponent
+    antilog = dict(enumerate(map(elements.__getitem__, codes)))
+    del codes  # the codes' int objects go before the log dict makes its own
     log = dict(zip(antilog.values(), range(m)))
     if len(log) != m:
         raise NearVecError(f"generator of GF({p}^{n}) has wrong order; table bug")
 
-    return modulus, elements, elements[g], log, antilog
+    return modulus, elements, elements[g], log, antilog, zech
 
 
 @dataclass(frozen=True)

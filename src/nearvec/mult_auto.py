@@ -21,6 +21,13 @@ Composition and inversion stay inside these families, so ``compose``
 returns one of them and never a chain: power exponents merge, complex
 parameters merge through a small closed form, inner twists merge, and any
 other pair over a finite base is materialized as a permutation table.
+
+A table is checked in full (a bijection of the base that fixes 0 and 1 and
+respects all q^2 products) when it comes from outside: a direct
+``PermAuto(...)`` call, a decoded JSON record, or the enumeration.  A table
+derived from automorphisms that already exist (an inverse, a product, the
+materialized form of another family, the identity) is a multiplicative
+bijection by construction and is not checked a second time.
 """
 
 import cmath
@@ -187,7 +194,8 @@ class ComplexEps(MultAuto):
 
 class PermAuto(MultAuto):
     """Explicit bijection table on a finite base; validated at construction
-    to fix 0 and 1 and to respect the product."""
+    to fix 0 and 1 and to respect the product.  Tables derived from
+    existing automorphisms are built by ``_derived_perm`` instead."""
 
     def __init__(self, base, table):
         if not base.is_finite:
@@ -213,7 +221,7 @@ class PermAuto(MultAuto):
         return self.table[x]
 
     def _inverse(self):
-        return PermAuto(self.base, {v: k for k, v in self.table.items()})
+        return _derived_perm(self.base, {v: k for k, v in self.table.items()})
 
     def is_identity(self):
         return all(k == v for k, v in self.table.items())
@@ -261,6 +269,18 @@ class InnerAuto(MultAuto):
         return (self.gamma,)
 
 
+def _derived_perm(base, table) -> PermAuto:
+    """A ``PermAuto`` on a table computed from automorphisms that already
+    exist, keyed and valued by the base's own elements: it is a
+    multiplicative bijection by construction, so the q^2 product check of
+    ``PermAuto.__init__`` is skipped."""
+    auto = PermAuto.__new__(PermAuto)
+    MultAuto.__init__(auto, base)
+    auto.table = table
+    auto._signature = tuple(table[x] for x in base.elements())
+    return auto
+
+
 # the power-map family of each base kind that has one
 POWER_FAMILIES = {"gf": FinitePower, "real": RealPower, "complex": ComplexEps}
 
@@ -270,18 +290,19 @@ def identity_auto(base: BaseStructure) -> MultAuto:
     if family is not None:
         return family(base, 1)
     if base.is_finite:
-        return PermAuto(base, {x: x for x in base.elements()})
+        return _derived_perm(base, {x: x for x in base.elements()})
     raise UnsupportedBaseError(f"no identity automorphism for {base!r}")
 
 
 def as_perm(auto: MultAuto) -> PermAuto:
-    """Materialize any automorphism of a finite base as a table."""
+    """Materialize any automorphism of a finite base as a table, trusted
+    to be multiplicative as the automorphism is."""
     base = auto.base
     if not base.is_finite:
         raise UnsupportedBaseError("only finite bases materialize as tables")
     if isinstance(auto, PermAuto):
         return auto
-    return PermAuto(base, {x: auto.apply(x) for x in base.elements()})
+    return _derived_perm(base, {x: auto.apply(x) for x in base.elements()})
 
 
 def _merge_pair(outer, inner):
@@ -303,7 +324,7 @@ def _merge_pair(outer, inner):
         return ComplexEps(base, merged, outer.conj != inner.conj)
     if isinstance(outer, InnerAuto) and isinstance(inner, InnerAuto):
         return InnerAuto(base, base.mul(inner.gamma, outer.gamma))
-    return PermAuto(base, {x: outer.apply(inner.apply(x)) for x in base.elements()})
+    return _derived_perm(base, {x: outer.apply(inner.apply(x)) for x in base.elements()})
 
 
 def compose(a: MultAuto, b: MultAuto) -> MultAuto:

@@ -4,9 +4,11 @@ Dickson near-field, behind one arithmetic interface.
 A base supplies native addition and a multiplicative group on its nonzero
 elements.  Finite bases enumerate their elements exhaustively:
 ``GaloisField(p, n)`` holds the tables of ``galois.gf_build`` and does all
-finite arithmetic itself.  The real and complex bases share the float
-arithmetic of ``FloatField``, compare within a relative tolerance and
-expose deterministic sample grids instead of enumeration.
+finite arithmetic itself, by lookups: a sum is a Zech-logarithm step and a
+negation a log shift by half the unit group (none in characteristic 2).
+The real and complex bases share the float arithmetic of ``FloatField``,
+compare within a relative tolerance and expose deterministic sample grids
+instead of enumeration.
 
 Every multiplicative automorphism sigma of a base induces a second abelian
 addition  x (+)_sigma y = sigma^-1(sigma(x) + sigma(y))  which again makes
@@ -17,9 +19,10 @@ rest of the package leans on.
 The Dickson base is a ``GaloisField`` on GF(9) that couples its
 multiplication with the cube map: a product a . b stays a*b when a is a
 square (an even power of the generator) and becomes a*b^3 when a is not.
-The nonzero elements then form the quaternion group of order 8, addition
-is the GF(9) one, the structure is left distributive, and exactly the
-prime subfield {0, 1, 2} is right distributive.
+Its 81 products are tabulated once per instance.  The nonzero elements
+then form the quaternion group of order 8, addition is the GF(9) one, the
+structure is left distributive, and exactly the prime subfield {0, 1, 2}
+is right distributive.
 """
 
 import cmath
@@ -95,18 +98,21 @@ class BaseStructure:
 
 class GaloisField(BaseStructure):
     """GF(p^n) on the tables of ``gf_build``: elements are ``GFElement``
-    coefficient tuples, and products, inverses and powers are discrete
-    log/antilog lookups.  Immutable; every method is a pure function of
-    its arguments."""
+    coefficient tuples, and sums, negations, products, inverses and powers
+    are discrete log/antilog/Zech lookups.  Immutable; every method is a
+    pure function of its arguments."""
 
     kind = "gf"
     is_finite = True
 
     def __init__(self, p, n):
-        self.modulus, self._elements, self.generator, self.log, self.antilog = gf_build(p, n)
+        tables = gf_build(p, n)
+        self.modulus, self._elements, self.generator, self.log, self.antilog, self._zech = tables
         self.p = p
         self.n = n
         self._units = len(self._elements) - 1
+        # -1 = g^(m/2) for odd p; in characteristic 2 negation is the identity
+        self._neg_shift = 0 if p == 2 else self._units // 2
         self.zero = self._elements[0]
         self.one = self._elements[1]
         self.minus_one = self.neg(self.one)
@@ -146,10 +152,19 @@ class GaloisField(BaseStructure):
     # -- arithmetic --
 
     def add(self, x, y):
-        return GFElement((a + b) % self.p for a, b in zip(x, y))
+        # g^a + g^b = g^a (1 + g^(b - a)) = g^(a + zech[b - a])
+        if x == self.zero:
+            return y
+        if y == self.zero:
+            return x
+        lx = self.log[x]
+        z = self._zech[(self.log[y] - lx) % self._units]
+        return self.zero if z < 0 else self.antilog[(lx + z) % self._units]
 
     def neg(self, x):
-        return GFElement(-a % self.p for a in x)
+        if x == self.zero:
+            return self.zero
+        return self.antilog[(self.log[x] + self._neg_shift) % self._units]
 
     def mul(self, x, y):
         if x == self.zero or y == self.zero:
@@ -198,10 +213,16 @@ class Dickson9(GaloisField):
 
     def __init__(self):
         super().__init__(3, 2)
+        gf_mul, els = super().mul, self._elements
+        # a . b = a*b for a square a, a*b^3 otherwise; zero has no log, and
+        # its product is zero whichever branch runs
+        self._product = {
+            x: {y: gf_mul(x, y if self.log.get(x, 0) % 2 == 0 else self.pow(y, 3)) for y in els}
+            for x in els
+        }
 
     def mul(self, x, y):
-        # zero has no log; its product is zero whichever branch runs
-        return super().mul(x, y if self.log.get(x, 0) % 2 == 0 else self.pow(y, 3))
+        return self._product[x][y]
 
     def inv(self, x):
         if x == self.zero:
@@ -221,8 +242,8 @@ class FloatField(BaseStructure):
     subclass's fixed ``GRID``."""
 
     def __init__(self, tolerance=DEFAULT_TOLERANCE):
-        if tolerance <= 0:
-            raise BaseMismatchError("tolerance must be positive")
+        if not 0 < tolerance < math.inf:  # nan fails this too
+            raise BaseMismatchError(f"tolerance must be positive and finite, got {tolerance}")
         self.tolerance = tolerance
         self.zero = self.check(0)
         self.one = self.check(1)

@@ -104,7 +104,8 @@ def base_from_json(obj, tolerance=None, bound=None):
     if kind == "dickson9":
         return Dickson9()
     if kind in ("real", "complex"):
-        tolerance = tolerance or _real(obj.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
+        if tolerance is None:
+            tolerance = _real(obj.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
         return (RealField if kind == "real" else ComplexField)(tolerance)
     raise NearVecError(f"unknown base kind {kind!r}")
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from nearvec.cli import build_parser, main
+from nearvec.nearfield import Dickson9
 from nearvec.serialize import vector_to_json
 
 BENCH_CLI_CALLS = Path(__file__).resolve().parents[1] / "bench" / "cli_calls.py"
@@ -497,6 +498,25 @@ def test_check_base_real(capsys):
     data = json.loads(out)
     assert all(r["passed"] for r in data["reports"])
     assert data["product_hypotheses"]["passed"] is False
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_check_base_refuses_non_finite_tolerance(capsys, value):
+    code, out, err = run_cli(capsys, "check-base", f'{{"kind":"real","tolerance":{value}}}')
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "tolerance" in err and err.count("\n") == 1
+
+
+def test_space_refuses_non_multiplicative_table(capsys):
+    d9 = Dickson9()
+    bad = {x: x for x in d9.elements()}
+    a, b = d9.from_int(2), d9.from_int(3)
+    bad[a], bad[b] = b, a
+    perm = {"kind": "perm", "table": [[list(x), list(y)] for x, y in bad.items()]}
+    spec = {"base": {"kind": "dickson9"}, "index": ["1"], "sigma": {"1": perm}, "rho": {"1": perm}}
+    code, out, err = run_cli(capsys, "space", json.dumps(spec), "qk")
+    assert code == 2 and out == ""
+    assert "not multiplicative" in err and err.count("\n") == 1
 
 
 def test_space_qk_real_spec(capsys, tmp_path):

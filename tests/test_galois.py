@@ -110,10 +110,11 @@ SMALL_FIELDS = [
 
 def test_tables_match_oracles_on_every_small_field():
     # every GF(p^n) with p^n <= 256: the scan-order modulus, the digits of
-    # each element, the first element of full order, and the antilog walk
+    # each element, the first element of full order, the antilog walk and
+    # the Zech logarithm of every exponent
     for p, n in SMALL_FIELDS:
         q = p**n
-        modulus, elements, generator, log, antilog = gf_build(p, n)
+        modulus, elements, generator, log, antilog, zech = gf_build(p, n)
         assert modulus == (oracle_first_irreducible(p, n) if n > 1 else (0, 1))
         assert [tuple(x) for x in elements] == [
             tuple(k // p**i % p for i in range(n)) for k in range(q)
@@ -134,6 +135,9 @@ def test_tables_match_oracles_on_every_small_field():
             step = schoolbook_mul(antilog[e], generator, modulus, p)
             assert step == (antilog[e + 1] if e + 2 < q else one)
             assert log[antilog[e]] == e
+            succ = tuple((c + (i == 0)) % p for i, c in enumerate(antilog[e]))
+            assert zech[e] == (log[succ] if any(succ) else -1)
+        assert len(zech) == q - 1
 
 
 @pytest.mark.parametrize(
@@ -268,6 +272,41 @@ def test_arithmetic_matches_schoolbook(p, n):
             if e in (1, 2):
                 assert mul(field.pow(x, -e), power) == one
             power = mul(power, x)
+
+
+def _coefficientwise(field, x, y):
+    return GFElement((a + b) % field.p for a, b in zip(x, y))
+
+
+def test_add_and_neg_match_coefficients_on_every_small_field():
+    for p, n in SMALL_FIELDS:
+        field = GaloisField(p, n)
+        els = field.elements()
+        for x in els:
+            assert field.neg(x) == GFElement(-c % p for c in x)
+            for y in els:
+                assert field.add(x, y) == _coefficientwise(field, x, y)
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (251, 2)])
+def test_add_and_neg_match_coefficients_on_large_fields(p, n):
+    field = GaloisField(p, n)
+    els = field.elements()
+    rng = random.Random(p * 100 + n)
+    for _ in range(20_000):
+        x, y = rng.choice(els), rng.choice(els)
+        assert field.add(x, y) == _coefficientwise(field, x, y)
+        assert field.neg(x) == GFElement(-c % p for c in x)
+    assert field.add(els[5], field.neg(els[5])) == field.zero
+
+
+@pytest.mark.parametrize("p,n", SMALL_FIELDS + [(2, 16), (3, 10), (251, 2)])
+def test_zech_has_one_zero_sum(p, n):
+    # 1 + g^k = 0 exactly at g^k = -1: k = 0 in characteristic 2, else m/2
+    zech = gf_build(p, n)[5]
+    m = p**n - 1
+    assert len(zech) == m and zech.count(-1) == 1
+    assert zech.index(-1) == (0 if p == 2 else m // 2)
 
 
 def test_element_validation():

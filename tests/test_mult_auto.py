@@ -156,6 +156,29 @@ def test_compose_property_finite(gf8, d9, d9_autos):
             assert c.apply(x) == a.apply(b.apply(x))
 
 
+@pytest.mark.parametrize("name", ["d9", "gf8"])
+def test_derived_tables_pass_the_full_check(request, name):
+    # products and inverses skip the product-law check of PermAuto.__init__;
+    # every one of them must still pass it and equal the checked table
+    base = request.getfixturevalue(name)
+    autos = enumerate_mult_autos(base) + [InnerAuto(base, g) for g in base.nonzero_elements()]
+    tables = [as_perm(a) for a in autos]
+    derived = [compose(a, b) for a in tables for b in tables]
+    derived += [t.inverse() for t in tables] + [identity_auto(base)]
+    for auto in derived:
+        t = as_perm(auto)
+        assert PermAuto(base, t.table) == t
+
+
+def test_decoded_tables_keep_the_full_check(d9):
+    bad = {x: x for x in d9.elements()}
+    a, b = d9.from_int(2), d9.from_int(3)
+    bad[a], bad[b] = b, a
+    record = {"kind": "perm", "table": [[list(x), list(y)] for x, y in bad.items()]}
+    with pytest.raises(NearVecError, match="not multiplicative"):
+        auto_from_json(d9, record)
+
+
 def test_inverse_examples(gf5):
     gf7 = GaloisField(7, 1)
     f5 = FinitePower(gf7, 5)

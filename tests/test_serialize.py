@@ -1,10 +1,11 @@
 """JSON round trips for bases, automorphisms, specs, and vectors."""
 
 import json
+import math
 
 import pytest
 
-from nearvec.errors import NearVecError
+from nearvec.errors import BaseMismatchError, NearVecError
 from nearvec.mult_auto import (
     ComplexEps,
     FinitePower,
@@ -12,7 +13,7 @@ from nearvec.mult_auto import (
     RealPower,
     enumerate_mult_autos,
 )
-from nearvec.nearfield import COMPLEXES, REALS, Dickson9, GaloisField
+from nearvec.nearfield import COMPLEXES, REALS, ComplexField, Dickson9, GaloisField, RealField
 from nearvec.nvspace import exponent_space
 from nearvec.serialize import (
     auto_from_json,
@@ -90,3 +91,18 @@ def test_real_spec_tolerance_override():
     blob = spec.describe()
     loose = spec_from_json(blob, tolerance=1e-3)
     assert loose.base.tolerance == 1e-3
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind,field", [("real", RealField), ("complex", ComplexField)])
+def test_non_finite_tolerance_refused(kind, field, tolerance):
+    with pytest.raises(BaseMismatchError, match="positive and finite"):
+        field(tolerance)
+    with pytest.raises(BaseMismatchError, match="positive and finite"):
+        base_from_json({"kind": kind, "tolerance": tolerance})
+
+
+@pytest.mark.parametrize("tolerance", [0, -1])
+def test_tolerance_override_is_not_read_as_absent(tolerance):
+    with pytest.raises(BaseMismatchError):
+        base_from_json({"kind": "real", "tolerance": 1e-3}, tolerance=tolerance)
