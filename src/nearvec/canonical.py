@@ -5,10 +5,15 @@ addition tuple (action twists all identity) and to one with the twists
 entirely in the action tuple; both normal forms send basis vectors to basis
 vectors.  ``IsoMap`` carries such basis-image maps and ``verify_iso`` checks
 additivity and equivariance, exhaustively where the space is enumerable.
+A basis-aligned map is checked per component: every automorphism the
+check needs is tabulated once per label as an index list (O(d*q) applies)
+and the 2*d*q^2 scalar pairs, refused beyond the bound, are list lookups.
 
 ``is_multiplicative`` certifies that the addition anchored at each nonzero
 quasi-kernel vector is induced by some multiplicative automorphism of the
-base, which is the defining property of this whole family of spaces.
+base, which is the defining property of this whole family of spaces.  Each
+automorphism's key, its q^2 induced sums, costs 2q applies and q^2 lookups
+in the base addition table.
 
 Finite products exist when the base has only finitely many induced
 additions and is finite dimensional over its right distributive part;
@@ -23,10 +28,11 @@ import random
 from .errors import BoundExceededError, NearVecError, UnsupportedBaseError
 from .galois import unit_classification
 from .mult_auto import enumerate_mult_autos, identity_auto, same_addition
-from .nearfield import DEFAULT_BRUTE_BOUND, distributive_elements, induced_add
+from .nearfield import DEFAULT_BRUTE_BOUND, distributive_elements
 from .nvspace import (
     SparseVector,
     SpaceSpec,
+    _base_tables,
     coproduct,
     decomposition_classes,
     first_representative_classes,
@@ -100,43 +106,49 @@ def normal_form_rho(spec: SpaceSpec):
     return _normal_form(spec, into_sigma=False)
 
 
-def _aligned_component_check(m: IsoMap):
+def _aligned_component_check(m: IsoMap, bound):
     """Per-component exhaustive additivity and equivariance; equivalent to
-    the all-pairs check when the map is basis aligned."""
+    the all-pairs check when the map is basis aligned.  Per label,
+    g = rho_tgt . rho_src^-1, both sigmas, their inverses and both rhos
+    become index lists, so each pair is a few list lookups."""
     src, tgt = m.source, m.target
-    base = src.base
-    els = base.elements()
+    q = src.base.order()
+    if 2 * src.dim * q**2 > bound:
+        raise BoundExceededError(
+            f"2*{src.dim}*{q}^2 component pairs exceed the bound {bound}"
+        )
+    els, idx, add, mul = _base_tables(src.base)
+
+    def table(f):
+        return [idx[f(x)] for x in els]
+
     violations = []
     pairs = 0
     for label in src.index:
         image = m.basis_images[label]
         tlabel = next(iter(image))[0]
-        rho_inv = src.rho[label].inverse()
-
-        def g(x, _tl=tlabel, _ri=rho_inv):
-            return tgt.rho[_tl].apply(_ri.apply(x))
-
-        sig_src = src.sigma[label]
-        sig_tgt = tgt.sigma[tlabel]
-        for x in els:
-            gx = g(x)
-            for y in els:
-                lhs = g(induced_add(base, sig_src, x, y))
-                rhs = induced_add(base, sig_tgt, gx, g(y))
-                if lhs != rhs:
+        rho_inv, rho_tgt = src.rho[label].inverse(), tgt.rho[tlabel]
+        g = table(lambda x: rho_tgt.apply(rho_inv.apply(x)))
+        sig_src, sig_tgt = src.sigma[label], tgt.sigma[tlabel]
+        ss, ss_inv = table(sig_src.apply), table(sig_src.inverse().apply)
+        ts, ts_inv = table(sig_tgt.apply), table(sig_tgt.inverse().apply)
+        rs, rt = table(src.rho[label].apply), table(rho_tgt.apply)
+        for x in range(q):
+            add_x, add_gx = add[ss[x]], add[ts[g[x]]]
+            for y in range(q):
+                if g[ss_inv[add_x[ss[y]]]] != ts_inv[add_gx[ts[g[y]]]]:
                     violations.append(
-                        {"law": "additive", "label": label, "pair": (x, y)}
+                        {"law": "additive", "label": label, "pair": (els[x], els[y])}
                     )
-                pairs += 1
-        for alpha in els:
-            for x in els:
-                lhs = g(base.mul(src.rho[label].apply(alpha), x))
-                rhs = base.mul(tgt.rho[tlabel].apply(alpha), g(x))
-                if lhs != rhs:
+            pairs += q
+        for alpha in range(q):
+            mul_s, mul_t = mul[rs[alpha]], mul[rt[alpha]]
+            for x in range(q):
+                if g[mul_s[x]] != mul_t[g[x]]:
                     violations.append(
-                        {"law": "equivariant", "label": label, "pair": (alpha, x)}
+                        {"law": "equivariant", "label": label, "pair": (els[alpha], els[x])}
                     )
-                pairs += 1
+            pairs += q
     return pairs, violations
 
 
@@ -199,7 +211,7 @@ def verify_iso(m: IsoMap, trials: int = 1000, seed: int = 0, bound=DEFAULT_BRUTE
     """
     if m.source.base.is_finite and m.is_basis_aligned():
         mode = "exhaustive-by-component"
-        checked, violations = _aligned_component_check(m)
+        checked, violations = _aligned_component_check(m, bound)
     else:
         mode, checked, violations = _vector_law_check(m, trials, seed, bound)
     return Report(
@@ -223,16 +235,13 @@ def is_multiplicative(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND):
         raise UnsupportedBaseError("certificate search needs a finite base")
     tables = spec._int_tables(bound)
     autos = enumerate_mult_autos(base)
-    els = tables.elements
-    idx = tables.idx
+    els, idx, add = tables.elements, tables.idx, tables.base_add
     lookup = {}
     for auto in autos:
         inv = auto.inverse()
-        key = tuple(
-            idx[inv.apply(base.add(auto.apply(a), auto.apply(b)))]
-            for a in els
-            for b in els
-        )
+        f, f_inv = [idx[auto.apply(x)] for x in els], [idx[inv.apply(x)] for x in els]
+        # key[a*q + b] = f^-1(f(a) + f(b)), as an index
+        key = tuple(f_inv[add_fa[fb]] for add_fa in map(add.__getitem__, f) for fb in f)
         lookup.setdefault(key, auto)
     certificates = {}
     ok = True

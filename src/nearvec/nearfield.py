@@ -264,7 +264,10 @@ class FloatField(BaseStructure):
         return 1.0 / x
 
     def eq(self, x, y):
-        return abs(x - y) <= self.tolerance * max(1.0, abs(x), abs(y))
+        diff = abs(x - y)
+        if not math.isfinite(diff):  # an infinity or nan: only exact equality
+            return x == y
+        return diff <= self.tolerance * max(1.0, abs(x), abs(y))
 
     def is_zero(self, x):
         return x == 0

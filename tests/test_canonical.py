@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from nearvec.canonical import (
     product_regroup,
     verify_iso,
 )
+from nearvec.errors import BoundExceededError
 from nearvec.mult_auto import FinitePower, enumerate_mult_autos, identity_auto
 from nearvec.nearfield import COMPLEXES, REALS, Dickson9, GaloisField, induced_add
 from nearvec.nvspace import (
@@ -155,6 +157,85 @@ def test_verify_iso_sampled_detects_corrupted_map():
         assert all(isinstance(x, float) for u in v["pair"] for x in u.values())
 
 
+def _component_reference(m):
+    """The per-component pairs and violations by the old loop, which calls
+    ``induced_add`` and ``apply`` on every pair."""
+    src, tgt = m.source, m.target
+    base = src.base
+    els = base.elements()
+    violations = []
+    pairs = 0
+    for label in src.index:
+        tlabel = next(iter(m.basis_images[label]))[0]
+        rho_inv = src.rho[label].inverse()
+
+        def g(x):
+            return tgt.rho[tlabel].apply(rho_inv.apply(x))
+
+        for x in els:
+            for y in els:
+                lhs = g(induced_add(base, src.sigma[label], x, y))
+                if lhs != induced_add(base, tgt.sigma[tlabel], g(x), g(y)):
+                    violations.append({"law": "additive", "label": label, "pair": (x, y)})
+                pairs += 1
+        for alpha in els:
+            for x in els:
+                lhs = g(base.mul(src.rho[label].apply(alpha), x))
+                if lhs != base.mul(tgt.rho[tlabel].apply(alpha), g(x)):
+                    violations.append({"law": "equivariant", "label": label, "pair": (alpha, x)})
+                pairs += 1
+    return pairs, violations
+
+
+def _aligned_maps(spec):
+    """Both normal-form maps of the space, and each with its basis images
+    rotated by one label."""
+    labels = spec.index
+    for maker in (normal_form_sigma, normal_form_rho):
+        target, m = maker(spec)
+        yield m
+        rotated = {k: target.basis_vector(labels[(i + 1) % len(labels)]) for i, k in enumerate(labels)}
+        yield IsoMap(spec, target, rotated)
+
+
+def _seeded_dickson_specs(d9, count, seed):
+    rng = random.Random(seed)
+    autos = enumerate_mult_autos(d9)
+    for k in range(count):
+        labels = [str(i) for i in range(1, 2 + k % 2 + 1)]
+        yield SpaceSpec(
+            d9, {i: rng.choice(autos) for i in labels}, {i: rng.choice(autos) for i in labels}
+        )
+
+
+def test_verify_iso_components_match_reference_loop(gf5, d9):
+    pairs = list(itertools.product((1, 3), repeat=2))
+    specs = [
+        *(exponent_space(gf5, se, re_) for se in pairs for re_ in pairs),
+        exponent_space(gf5, [3, 3, 1], [3, 1, 3]),
+        *_seeded_dickson_specs(d9, 6, seed=3),
+    ]
+    failing = 0
+    for spec in specs:
+        for m in _aligned_maps(spec):
+            pairs, violations = _component_reference(m)
+            rep = verify_iso(m)
+            assert rep.details == {"mode": "exhaustive-by-component", "checked": pairs}
+            assert rep.violations == violations[:20]
+            assert rep.passed == (not violations)
+            failing += not rep.passed
+    assert failing >= 4
+
+
+def test_verify_iso_component_path_charges_bound(gf5):
+    for dim in (1, 2):
+        target, m = normal_form_sigma(exponent_space(gf5, [3] * dim))
+        needed = 2 * dim * 5**2
+        with pytest.raises(BoundExceededError):
+            verify_iso(m, bound=needed - 1)
+        assert verify_iso(m, bound=needed).details["checked"] == needed
+
+
 def test_is_multiplicative_with_certificates(gf5):
     spec = exponent_space(gf5, [1, 3])
     ok, certs = is_multiplicative(spec)
@@ -186,6 +267,43 @@ def test_is_multiplicative_dickson(d9):
     from nearvec.mult_auto import PermAuto
 
     assert any(isinstance(s, PermAuto) for s in certs.values())
+
+
+def _certificates_reference(spec):
+    """Certificates by the old key loop: each automorphism's anchored sums
+    through ``apply`` and ``base.add``, looked up with the q^2 anchored
+    scalars of every nonzero member, in vector order."""
+    base = spec.base
+    els = base.elements()
+    idx = {e: k for k, e in enumerate(els)}
+    lookup = {}
+    for auto in enumerate_mult_autos(base):
+        inv = auto.inverse()
+        key = tuple(idx[inv.apply(base.add(auto.apply(a), auto.apply(b)))] for a in els for b in els)
+        lookup.setdefault(key, auto)
+    brute = quasi_kernel_bruteforce(spec)
+    return {
+        u: lookup.get(tuple(idx[anchored_add(spec, u, a, b)] for a in els for b in els))
+        for u in spec.all_vectors()
+        if u in brute and not u.is_zero()
+    }
+
+
+def test_is_multiplicative_matches_reference_keys(d9):
+    gf8, gf9 = GaloisField(2, 3), GaloisField(3, 2)
+    specs = [
+        exponent_space(gf8, [1, 2], [3, 1]),
+        exponent_space(gf8, [3, 5], [1, 1]),
+        exponent_space(gf9, [1, 3], [5, 1]),
+        exponent_space(gf9, [7, 5], [1, 3]),
+        *_seeded_dickson_specs(d9, 4, seed=5),
+    ]
+    for spec in specs:
+        ok, certs = is_multiplicative(spec)
+        expected = _certificates_reference(spec)
+        assert list(certs) == list(expected)
+        assert [a.describe() for a in certs.values()] == [a.describe() for a in expected.values()]
+        assert ok == all(a is not None for a in expected.values())
 
 
 def test_basis_transport(gf5):

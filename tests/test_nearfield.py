@@ -253,6 +253,16 @@ def test_real_complex_eq_is_relative():
     assert len(c.sample_points()) == 25
 
 
+def test_real_complex_eq_reads_infinity_exactly():
+    inf, nan = math.inf, math.nan
+    for base in (REALS, COMPLEXES):
+        assert not base.eq(inf, 1) and not base.eq(1, inf) and not base.eq(inf, -inf)
+        assert base.eq(inf, inf) and base.eq(-inf, -inf)
+        assert not base.eq(nan, nan) and not base.eq(nan, 1)
+    assert not COMPLEXES.eq(complex(inf, 1), complex(inf, 2))
+    assert COMPLEXES.eq(complex(inf, 0), complex(inf, 0))
+
+
 def test_base_equality_and_describe(gf5, d9):
     assert gf5 == GaloisField(5, 1)
     assert gf5 != GaloisField(7, 1)

@@ -11,7 +11,7 @@ from nearvec.errors import (
     NearVecError,
     UnsupportedBaseError,
 )
-from nearvec.mult_auto import InnerAuto, compose, enumerate_mult_autos, identity_auto
+from nearvec.mult_auto import InnerAuto, MultAuto, compose, enumerate_mult_autos, identity_auto
 from nearvec.nearfield import REALS, Dickson9, GaloisField
 from nearvec.nvspace import (
     Partition,
@@ -71,6 +71,15 @@ def test_sparse_vector_prunes_zeros(gf5, spec13):
     assert w.support == ("2",)
     assert SparseVector({"1": 1.0}) == SparseVector({"1": 1.0})
     assert hash(SparseVector({"1": 1.0})) == hash(SparseVector({"1": 1.0}))
+
+
+def test_sparse_vector_keeps_label_order():
+    v = SparseVector([("b", 2.0), ("c", 0.0), ("a", 1.0), ("b", 3.0)])
+    assert v.support == ("a", "b")
+    assert list(v) == [("a", 1.0), ("b", 3.0)]
+    assert repr(v) == "SparseVector({a: 1.0, b: 3.0})"
+    w = SparseVector({"a": 1.0, "b": 3.0})
+    assert v == w and hash(v) == hash(w)
 
 
 def test_vector_rejects_bad_labels_and_scalars(spec13, gf5):
@@ -327,6 +336,15 @@ def test_anchored_add_rejects_bad_anchor(gf5, spec13):
                 anchored_add(spec13, outside, a, b)
 
 
+def test_anchored_add_rejects_overflowing_subnormal_anchor():
+    # 1/u overflows to inf, and the solved scalar inf must not pass the
+    # check rho(g) u = w as if it were close to 2u
+    spec = exponent_space(REALS, [1.0])
+    with pytest.raises(InvalidAnchorError):
+        anchored_add(spec, spec.vector({"1": 5e-324}), 1.0, 1.0)
+    assert REALS.eq(anchored_add(spec, spec.vector({"1": 1e-300}), 1.0, 1.0), 2.0)
+
+
 # -- compatibility and regularity ---------------------------------------------
 
 
@@ -449,6 +467,66 @@ def test_nvs_axiom_check(gf5, spec13, d9_spec):
     assert rep.passed
     assert rep.details["quasi_kernel_size"] == rep.details["space_size"] == 5
     assert nvs_axiom_check(d9_spec).passed
+
+
+class _Square(MultAuto):
+    """x -> x^2: not injective over an odd field, so an action twisted by
+    it is not free."""
+
+    def apply(self, x):
+        return self.base.mul(x, x)
+
+
+def _axiom_reference(spec):
+    """The free-action violations and closure details by the old loops:
+    the q images of every nonzero vector, then sums of quasi-kernel
+    vectors added round by round until nothing new appears."""
+    els = spec.base.elements()
+    vectors = spec.all_vectors()
+    free = [
+        {"axiom": "free-action", "vector": v.entries}
+        for v in vectors
+        if not v.is_zero() and len({spec.scale(a, v) for a in els}) != len(els)
+    ]
+    qk = quasi_kernel_bruteforce(spec)
+    closed, frontier, rounds = set(qk), set(qk), 0
+    while frontier and len(closed) < len(vectors):
+        fresh = {spec.add(u, w) for u in frontier for w in qk} - closed
+        closed |= fresh
+        frontier = fresh
+        rounds += 1
+    details = {"space_size": len(vectors), "quasi_kernel_size": len(qk), "closure_rounds": rounds}
+    return free, details, len(closed)
+
+
+@pytest.mark.parametrize(
+    "base, twists",
+    [
+        (GaloisField(5, 1), "s"),
+        (GaloisField(5, 1), "si"),
+        (GaloisField(5, 1), "is"),
+        (GaloisField(5, 1), "sis"),
+        (GaloisField(7, 1), "iss"),
+        (Dickson9(), "si"),
+        (GaloisField(5, 1), "ii"),
+        (GaloisField(7, 1), "iii"),
+    ],
+)
+def test_nvs_axiom_check_matches_reference_loops(base, twists):
+    # "s" twists a label's action by the square map, "i" leaves it plain
+    labels = [str(k) for k in range(1, len(twists) + 1)]
+    ident = identity_auto(base)
+    rho = {k: _Square(base) if t == "s" else ident for k, t in zip(labels, twists)}
+    spec = SpaceSpec(base, dict.fromkeys(labels, ident), rho)
+    free, details, reached = _axiom_reference(spec)
+    rep = nvs_axiom_check(spec)
+    assert rep.details == details
+    generates = [] if reached == details["space_size"] else [
+        {"axiom": "quasi-kernel-generates", "reached": reached}
+    ]
+    assert rep.violations == (free + generates)[:20]
+    assert rep.passed == (not free and not generates)
+    assert ("s" in twists) == bool(free)
 
 
 def test_two_term_decomposition_reachable(gf5, spec13):

@@ -9,6 +9,7 @@ reference, composition, inversion and the JSON forms of automorphisms
 obey their laws, and spaces and vectors survive their JSON forms."""
 
 import functools
+import itertools
 import json
 from math import gcd
 
@@ -35,6 +36,7 @@ from nearvec.nvspace import (
     SpaceSpec,
     anchored_add,
     compatible,
+    decomposition_classes,
     exponent_space,
     in_quasi_kernel,
     is_regular_bruteforce,
@@ -191,6 +193,30 @@ def galois_specs(draw):
 @given(galois_specs())
 def test_materialized_closed_form_is_bruteforce(spec):
     assert materialize_quasi_kernel(spec) == quasi_kernel_bruteforce(spec)
+
+
+GF13 = GaloisField(13, 1)
+DECOMPOSITION_AUTOS = {**LISTED, GF13: enumerate_mult_autos(GF13)}
+
+
+@st.composite
+def decomposition_specs(draw):
+    """A 2-3-label space over Dickson9, GF(8), GF(9) (every form
+    ``finite_auto`` draws) or GF(13) (power maps)."""
+    base = draw(st.sampled_from(list(DECOMPOSITION_AUTOS)))
+    autos = st.sampled_from(DECOMPOSITION_AUTOS[GF13]) if base == GF13 else finite_auto(base)
+    labels = [str(k) for k in range(1, draw(st.integers(2, 3)) + 1)]
+    return SpaceSpec(base, {k: draw(autos) for k in labels}, {k: draw(autos) for k in labels})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(decomposition_specs())
+def test_decomposition_blocks_are_maximal_regular(spec):
+    blocks = decomposition_classes(spec).blocks
+    for block in blocks:
+        assert is_regular_bruteforce(spec.restrict(block)), block
+    for first, second in itertools.combinations(blocks, 2):
+        assert not is_regular_bruteforce(spec.restrict(first + second)), (first, second)
 
 
 def test_materialize_scales_no_unconstrained_block(monkeypatch):
