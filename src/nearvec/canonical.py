@@ -25,7 +25,7 @@ import functools
 import itertools
 import random
 
-from .errors import BoundExceededError, NearVecError, UnsupportedBaseError
+from .errors import NearVecError, UnsupportedBaseError, charge
 from .galois import unit_classification
 from .mult_auto import enumerate_mult_autos, identity_auto, same_addition
 from .nearfield import DEFAULT_BRUTE_BOUND, distributive_elements
@@ -113,10 +113,7 @@ def _aligned_component_check(m: IsoMap, bound):
     become index lists, so each pair is a few list lookups."""
     src, tgt = m.source, m.target
     q = src.base.order()
-    if 2 * src.dim * q**2 > bound:
-        raise BoundExceededError(
-            f"2*{src.dim}*{q}^2 component pairs exceed the bound {bound}"
-        )
+    charge(2 * src.dim * q**2, bound, f"2*{src.dim}*{q}^2 component pairs")
     els, idx, add, mul = _base_tables(src.base)
 
     def table(f):
@@ -161,10 +158,7 @@ def _vector_law_check(m: IsoMap, trials, seed, bound):
     if base.is_finite:
         mode = "exhaustive"
         vectors = src.all_vectors(bound)
-        if len(vectors) ** 2 > bound:
-            raise BoundExceededError(
-                f"{len(vectors)}^2 vector pairs exceed the bound {bound}"
-            )
+        charge(len(vectors) ** 2, bound, f"{len(vectors)}^2 vector pairs")
         sums = itertools.product(vectors, repeat=2)
         scalings = itertools.product(base.elements(), vectors)
     else:
@@ -267,8 +261,7 @@ def basis_transport_check(m: IsoMap, bound=DEFAULT_BRUTE_BOUND) -> Report:
     if not base.is_finite:
         raise UnsupportedBaseError("transport check needs a finite base")
     els = base.elements()
-    if len(els) ** max(src.dim, 1) > bound:
-        raise BoundExceededError("coefficient sweep exceeds the bound")
+    charge(len(els) ** max(src.dim, 1), bound, f"{len(els)}^{src.dim} coefficient tuples")
     span = set()
     dependent = None
     for combo in itertools.product(els, repeat=src.dim):

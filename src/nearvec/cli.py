@@ -37,7 +37,7 @@ from .complexify import (
     minimal_poly_residual,
     restriction_agrees,
 )
-from .errors import BoundExceededError, NearVecError
+from .errors import NearVecError, charge
 from .galois import unit_classification
 from .mult_auto import enumerate_mult_autos, mult_properties_check, same_addition
 from .nearfield import (
@@ -92,10 +92,7 @@ def cmd_autos(args):
     autos = enumerate_mult_autos(base)
     # the property checks below sweep every element pair once per automorphism
     q = base.order()
-    if len(autos) * q**2 > args.bound:
-        raise BoundExceededError(
-            f"{len(autos)} automorphisms x {q}^2 pairs exceed the bound {args.bound}"
-        )
+    charge(len(autos) * q**2, args.bound, f"{len(autos)} automorphisms x {q}^2 pairs")
     classes = first_representative_classes(autos, same_addition)
     properties_ok = all(mult_properties_check(a).passed for a in autos)
     out = {

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``charge``, the one
+check every exhaustive sweep makes against its size bound."""
 
 
 class NearVecError(ValueError):
@@ -19,3 +20,10 @@ class UnsupportedBaseError(NearVecError):
 
 class InvalidAnchorError(NearVecError):
     """The anchor vector is zero or lies outside the quasi-kernel."""
+
+
+def charge(needed, bound, what):
+    """Refuse work of size ``needed`` beyond ``bound``; ``what`` names the
+    work and its size, as in "81 candidates"."""
+    if needed > bound:
+        raise BoundExceededError(f"{what} exceed the bound {bound}")

@@ -54,10 +54,10 @@ import math
 
 from .errors import (
     BaseMismatchError,
-    BoundExceededError,
     InvalidAnchorError,
     NearVecError,
     UnsupportedBaseError,
+    charge,
 )
 from .mult_auto import POWER_FAMILIES, InnerAuto, compose, identity_auto, same_addition
 from .nearfield import DEFAULT_BRUTE_BOUND, BaseStructure, distributive_elements, induced_add
@@ -274,10 +274,8 @@ class SpaceSpec:
         if not self.base.is_finite:
             raise UnsupportedBaseError("integer tables need a finite base")
         q, d = self.base.order(), self.dim
-        if q ** max(d, 1) > bound:
-            raise BoundExceededError(f"{q}^{d} vectors exceed the bound {bound}")
-        if d * q**3 > bound:
-            raise BoundExceededError(f"{d}*{q}^3 table entries exceed the bound {bound}")
+        charge(q ** max(d, 1), bound, f"{q}^{d} vectors")
+        charge(d * q**3, bound, f"{d}*{q}^3 table entries")
         if self._tables is None:
             self._tables = _FiniteTables(self)
         return self._tables
@@ -526,8 +524,7 @@ def materialize_quasi_kernel(
         size = math.prod(map(len, pools))
         total += size if unconstrained else size * len(els)
         blocks.append((block, pools, unconstrained))
-    if total > bound:
-        raise BoundExceededError(f"{total} candidates exceed the bound {bound}")
+    charge(total, bound, f"{total} candidates")
 
     out = {ZERO_VECTOR}
     for block, pools, unconstrained in blocks:
@@ -672,8 +669,7 @@ def is_regular_bruteforce(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND) -> bool:
             seen.update(ray)
             rays.append(ray)
     tests = len(rays) * (len(rays) + 1) // 2 * (tables.q - 1)
-    if tests > bound:
-        raise BoundExceededError(f"{tests} ray pair tests exceed the bound {bound}")
+    charge(tests, bound, f"{tests} ray pair tests")
     for i, ray in enumerate(rays):
         rows_u = list(map(list.__getitem__, tables.add_t, ray[0]))
         for members in rays[i:]:

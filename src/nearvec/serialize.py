@@ -18,7 +18,7 @@ forms inside report records.
 import functools
 
 from .complexify import ComplexificationSpec
-from .errors import BoundExceededError, NearVecError
+from .errors import NearVecError, charge
 from .galois import _check_order
 from .mult_auto import (
     ComplexEps,
@@ -89,8 +89,9 @@ def base_from_json(obj, tolerance=None, bound=None):
     kind = obj.get("kind")
     if kind == "gf":
         p, n = (_integer(_field(obj, key, "base"), key) for key in ("p", "n"))
-        if bound is not None and 2 * _check_order(p, n) ** 3 > bound:
-            raise BoundExceededError(f"2*{p**n}^3 triples exceed the bound {bound}")
+        if bound is not None:
+            q = _check_order(p, n)
+            charge(2 * q**3, bound, f"2*{q}^3 triples")
         base = GaloisField(p, n)
         given = obj.get("modulus")
         if given is not None and [

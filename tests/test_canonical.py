@@ -320,6 +320,13 @@ def test_basis_transport(gf5):
     assert any(v["law"] == "independent" for v in rep.violations)
 
 
+def test_basis_transport_charges_bound(gf5):
+    target, m = normal_form_sigma(exponent_space(gf5, [1, 3]))
+    with pytest.raises(BoundExceededError, match=r"^5\^2 coefficient tuples exceed the bound 24$"):
+        basis_transport_check(m, bound=24)
+    assert basis_transport_check(m, bound=25).passed
+
+
 def test_product_hypotheses(gf5, d9):
     rep = product_hypotheses(GaloisField(2, 3))
     assert rep.passed

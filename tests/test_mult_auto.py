@@ -375,6 +375,15 @@ def test_same_addition_examples(gf8):
     assert not same_addition(RealPower(REALS, 2.0), RealPower(REALS, 3.0))
 
 
+def test_same_addition_reflexive_on_real_powers():
+    # a . a^-1 can land a rounding step away from the identity exponent
+    # (alpha = 0.9999999999999999 for a = 49), which still agrees with the
+    # identity on the sample grid
+    for a in range(1, 200):
+        assert same_addition(RealPower(REALS, a), RealPower(REALS, a)), a
+    assert not same_addition(RealPower(REALS, 49), RealPower(REALS, 49.5))
+
+
 @pytest.mark.parametrize("maker", ["gf4", "gf5", "gf8", "d9"])
 def test_same_addition_is_equivalence(maker, gf5, gf8, d9, d9_autos):
     base, autos = {

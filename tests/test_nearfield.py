@@ -6,11 +6,14 @@ import random
 
 import pytest
 
-from nearvec.errors import BaseMismatchError, UnsupportedBaseError
+from nearvec import nearfield
+from nearvec.errors import BaseMismatchError, BoundExceededError, UnsupportedBaseError
 from nearvec.mult_auto import (
     ComplexEps,
     FinitePower,
     RealPower,
+    as_perm,
+    compose,
     enumerate_mult_autos,
     identity_auto,
 )
@@ -223,17 +226,36 @@ def test_is_nearfield_automorphism_examples(gf5):
     assert not is_nearfield_automorphism(COMPLEXES, ComplexEps(COMPLEXES, 2.0))
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
+@pytest.mark.parametrize(
+    "p,n", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (13, 1), (2, 5)]
+)
 def test_power_map_fast_path_matches_exhaustive(p, n):
+    # every family on a Galois field, tables included, goes through the
+    # generator's exponent; the pair loop below is the oracle
     base = GaloisField(p, n)
     els = base.elements()
-    for auto in enumerate_mult_autos(base):
-        exhaustive = all(
-            auto.apply(base.add(x, y)) == base.add(auto.apply(x), auto.apply(y))
+
+    def exhaustive(f):
+        return all(
+            f.apply(base.add(x, y)) == base.add(f.apply(x), f.apply(y))
             for x in els
             for y in els
         )
-        assert is_nearfield_automorphism(base, auto) == exhaustive
+
+    autos = enumerate_mult_autos(base)
+    second = as_perm(autos[-1])
+    for auto in autos:
+        table = as_perm(auto)
+        for f in (auto, table, compose(table, second)):
+            assert is_nearfield_automorphism(base, f) == exhaustive(f)
+
+
+def test_pair_loop_charges_the_default_bound(d9, monkeypatch):
+    autos = enumerate_mult_autos(d9)
+    assert is_nearfield_automorphism(d9, autos[0])
+    monkeypatch.setattr(nearfield, "DEFAULT_BRUTE_BOUND", 80)
+    with pytest.raises(BoundExceededError, match=r"^9\^2 additivity pairs exceed the bound 80$"):
+        is_nearfield_automorphism(d9, autos[0])
 
 
 def test_transport_check(gf5, d9):

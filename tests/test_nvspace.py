@@ -153,6 +153,15 @@ def test_decomposition_classes_examples(gf5):
     assert decomposition_classes(spec) == same_addition_classes(spec)
 
 
+def test_decomposition_real_equal_powers_is_one_block():
+    spec = exponent_space(REALS, [49, 49])
+    assert in_quasi_kernel(spec, spec.vector({"1": 1.0, "2": 1.0}))[0]
+    assert same_addition_classes(spec).blocks == (("1", "2"),)
+    assert decomposition_classes(spec).blocks == (("1", "2"),)
+    [(block, _)] = regular_decomposition(spec)
+    assert block.index == ("1", "2")
+
+
 def test_decomposition_classes_inner_twist(d9):
     ident = identity_auto(d9)
     autos = enumerate_mult_autos(d9)

@@ -1,0 +1,47 @@
+"""Source-level rules that keep one policy in one place."""
+
+import ast
+import pathlib
+
+import nearvec
+
+
+class _RaiseSites(ast.NodeVisitor):
+    """The innermost enclosing function of every ``raise <name>`` or
+    ``raise <name>(...)``, module-level raises included."""
+
+    def __init__(self, name):
+        self.name = name
+        self.scope = ["<module>"]
+        self.sites = set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Raise(self, node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if getattr(exc, "id", getattr(exc, "attr", None)) == self.name:
+            self.sites.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def _raise_sites(name):
+    sites = set()
+    for path in pathlib.Path(nearvec.__file__).parent.glob("*.py"):
+        visitor = _RaiseSites(name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites.update((path.stem, scope) for scope in visitor.sites)
+    return sorted(sites)
+
+
+def test_bound_refusals_go_through_charge():
+    # every sweep refuses through errors.charge; galois._check_order is the
+    # field-order cap, which tests p and n before it computes p**n
+    assert _raise_sites("BoundExceededError") == [
+        ("errors", "charge"),
+        ("galois", "_check_order"),
+    ]
