@@ -114,10 +114,10 @@ def _aligned_component_check(m: IsoMap, bound):
     src, tgt = m.source, m.target
     q = src.base.order()
     charge(2 * src.dim * q**2, bound, f"2*{src.dim}*{q}^2 component pairs")
-    els, idx, add, mul = _base_tables(src.base)
+    els, add, mul = _base_tables(src.base)
 
     def table(f):
-        return [idx[f(x)] for x in els]
+        return list(map(f, els))
 
     violations = []
     pairs = 0
@@ -229,11 +229,11 @@ def is_multiplicative(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND):
         raise UnsupportedBaseError("certificate search needs a finite base")
     tables = spec._int_tables(bound)
     autos = enumerate_mult_autos(base)
-    els, idx, add = tables.elements, tables.idx, tables.base_add
+    els, add = tables.elements, tables.base_add
     lookup = {}
     for auto in autos:
         inv = auto.inverse()
-        f, f_inv = [idx[auto.apply(x)] for x in els], [idx[inv.apply(x)] for x in els]
+        f, f_inv = list(map(auto.apply, els)), list(map(inv.apply, els))
         # key[a*q + b] = f^-1(f(a) + f(b)), as an index
         key = tuple(f_inv[add_fa[fb]] for add_fa in map(add.__getitem__, f) for fb in f)
         lookup.setdefault(key, auto)

@@ -108,7 +108,7 @@ def cmd_autos(args):
 
 
 def cmd_space(args):
-    spec = spec_from_json(_load_json_arg(args.spec), tolerance=args.tol)
+    spec = spec_from_json(_load_json_arg(args.spec), tolerance=args.tol, bound=args.bound)
     base = spec.base
     action = args.action
     if action == "qk":

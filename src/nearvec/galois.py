@@ -1,19 +1,20 @@
 """Exact arithmetic for small Galois fields GF(p^n).
 
-Elements are ``GFElement`` coefficient tuples over GF(p), constant term
-first; they hash and compare as the plain tuple of their residues.
-``gf_build(p, n)`` returns a field's tables: the monic irreducible modulus,
-the elements, discrete log and antilog tables over a fixed generator, and
-the Zech logarithms (1 + g^k = g^zech[k]); ``nearfield.GaloisField`` holds
-them, so sums, negations, products, inverses and powers are table lookups.
+An element is a ``GFElement``: an ``int`` whose value is its integer code,
+the coefficient tuple over GF(p) read as base-p digits with the constant
+term least significant, which is also its index in the element list.
+``coeffs`` gives the tuple back, constant term first.  ``gf_build(p, n)``
+returns a field's tables: the monic irreducible modulus, the elements, the
+discrete log and antilog tables over a fixed generator, and the Zech
+logarithms (1 + g^k = g^zech[k]); ``nearfield.GaloisField`` holds them, so
+sums, negations, products, inverses and powers index flat arrays and lists.
 Construction is deterministic:
 
 * the modulus is the first irreducible found when monic degree-n polynomials
   are scanned in lexicographic order of their coefficient tuple (constant
   term first, ascending); degree 1 uses the polynomial x itself;
-* the generator is the first element, in integer encoding order (value of
-  the coefficient tuple read as base-p digits, constant term least
-  significant), whose multiplicative order is p^n - 1.
+* the generator is the first element, in code order, whose multiplicative
+  order is p^n - 1.
 
 The tables are built on integer codes and plain lists: the antilog walk
 multiplies the code of g^e by g as a GF(p)-linear map, looked up on the
@@ -32,7 +33,6 @@ so the orbit count is the number of distinct induced additions.
 import itertools
 import operator
 from array import array
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import BoundExceededError, NearVecError
@@ -120,22 +120,22 @@ def first_irreducible(p: int, n: int) -> tuple:
     raise NearVecError(f"no irreducible polynomial of degree {n} over GF({p})")
 
 
-class GFElement(tuple):
-    """A field element: the tuple of its n residues mod p, constant term
-    first.  It hashes and compares as that plain tuple."""
+class GFElement(int):
+    """A field element as its integer code.  ``gf_build`` makes one subclass
+    per field that sets p and n.  As an ``int`` it hashes and compares by
+    code alone, so elements of different fields can be equal and zero is
+    falsy; ``GaloisField.check`` tests p and n."""
 
     __slots__ = ()
+    p = n = None
 
     @property
     def coeffs(self):
-        return tuple(self)
-
-    @property
-    def is_zero(self):
-        return not any(self)
+        """The n residues mod p, constant term first."""
+        return tuple(self // self.p**i % self.p for i in range(self.n))
 
     def __repr__(self):
-        return f"GFElement({list(self)})"
+        return f"GFElement({list(self.coeffs)})"
 
 
 def _check_order(p, n):
@@ -196,56 +196,49 @@ def _walk(p, n, modulus, g, m):
 
 def gf_build(p: int, n: int) -> tuple:
     """The tables of GF(p^n) as (modulus, elements, generator, log,
-    antilog, zech): elements in integer encoding order, log maps a nonzero
-    element to its exponent in [0, p^n - 1), antilog is the reverse map,
-    and zech is an ``array("i")`` with 1 + g^k = g^zech[k], or -1 where
+    antilog, zech): elements is the tuple of the field's ``GFElement``s in
+    code order, log an ``array("i")`` holding each code's exponent in
+    [0, p^n - 1) and -1 at zero, antilog the list of elements g^0, g^1, ...,
+    and zech an ``array("i")`` with 1 + g^k = g^zech[k], or -1 where
     1 + g^k = 0.  Deterministic modulus and generator choice."""
     q = _check_order(p, n)
     if n < 1:
         raise NearVecError(f"degree must be positive, got {n}")
 
     modulus = first_irreducible(p, n)
-    elements = tuple(GFElement(c[::-1]) for c in itertools.product(range(p), repeat=n))
+    element = type("GFElement", (GFElement,), {"__slots__": (), "p": p, "n": n})
+    elements = tuple(map(element, range(q)))
 
     m = q - 1
     factors = prime_factors(m)
-    one = list(elements[1])
+    one = list(elements[1].coeffs)
     for g in range(1, q):
-        if all(_powmod(list(elements[g]), m // f, modulus, p) != one for f in factors):
+        if all(_powmod(list(elements[g].coeffs), m // f, modulus, p) != one for f in factors):
             break
     else:
         raise NearVecError(f"no generator found for GF({p}^{n}); table bug")
 
     codes = _walk(p, n, modulus, g, m)
-    # the exponent of each code, -1 for the code 0 of zero
-    exponent = array("i", [-1]) * q
+    log = array("i", [-1]) * q
     for k, c in enumerate(codes):
-        exponent[c] = k
-    zech = array("i", [exponent[c - c % p + (c + 1) % p] for c in codes])
-    del exponent
-    antilog = dict(enumerate(map(elements.__getitem__, codes)))
-    del codes  # the codes' int objects go before the log dict makes its own
-    log = dict(zip(antilog.values(), range(m)))
-    if len(log) != m:
+        log[c] = k
+    if log.count(-1) != 1:
         raise NearVecError(f"generator of GF({p}^{n}) has wrong order; table bug")
+    zech = array("i", (log[c - c % p + (c + 1) % p] for c in codes))
+    return modulus, elements, elements[g], log, list(map(elements.__getitem__, codes)), zech
 
-    return modulus, elements, elements[g], log, antilog, zech
 
-
-@dataclass(frozen=True)
 class UnitClassification:
     """Orbits of the units mod p^n - 1 under multiplication by p.
 
     One orbit per induced addition on GF(p^n); the orbit of 1 is the set of
-    exponents whose power map is already additive.
+    exponents whose power map is already additive.  ``classes`` is a tuple
+    of sorted tuples, ordered by smallest member.
     """
 
-    p: int
-    n: int
-    modulus_m: int
-    units: tuple
-    frobenius_subgroup: tuple
-    classes: tuple  # tuple of sorted tuples, ordered by smallest member
+    def __init__(self, p, n, modulus_m, units, frobenius_subgroup, classes):
+        self.p, self.n, self.modulus_m = p, n, modulus_m
+        self.units, self.frobenius_subgroup, self.classes = units, frobenius_subgroup, classes
 
     @property
     def count(self):

@@ -35,8 +35,8 @@ import itertools
 import math
 import random
 
-from .errors import BaseMismatchError, NearVecError, UnsupportedBaseError
-from .nearfield import BaseStructure, is_nearfield_automorphism
+from .errors import BaseMismatchError, NearVecError, UnsupportedBaseError, charge
+from .nearfield import DEFAULT_BRUTE_BOUND, BaseStructure, is_nearfield_automorphism
 from .report import Report
 
 
@@ -194,20 +194,23 @@ class ComplexEps(MultAuto):
 
 class PermAuto(MultAuto):
     """Explicit bijection table on a finite base; validated at construction
-    to fix 0 and 1 and to respect the product.  Tables derived from
-    existing automorphisms are built by ``_derived_perm`` instead."""
+    to fix 0 and 1 and to respect the product, whose q^2 pairs are refused
+    beyond ``bound``.  Tables derived from existing automorphisms are built
+    by ``_derived_perm`` instead."""
 
-    def __init__(self, base, table):
+    def __init__(self, base, table, bound=DEFAULT_BRUTE_BOUND):
         if not base.is_finite:
             raise BaseMismatchError("PermAuto needs a finite base")
         super().__init__(base)
         els = base.elements()
-        # check refuses plain tuples, which compare equal to field elements
+        # check refuses plain ints, which compare equal to field elements
         table = {base.check(x): base.check(y) for x, y in dict(table).items()}
         if set(table) != set(els) or set(table.values()) != set(els):
             raise NearVecError("permutation table must be a bijection of the base")
         if table[base.zero] != base.zero or table[base.one] != base.one:
             raise NearVecError("permutation table must fix 0 and 1")
+        q = len(els)
+        charge(q * q, bound, f"{q}^2 product pairs")
         for x in els:
             for y in els:
                 if table[base.mul(x, y)] != base.mul(table[x], table[y]):
@@ -372,7 +375,6 @@ def enumerate_mult_autos(base: BaseStructure) -> list:
         m = base.order() - 1
         return [FinitePower(base, a) for a in range(1, m + 1) if math.gcd(a, m) == 1]
 
-    els = base.elements()
     nonzero = base.nonzero_elements()
     gens = []
     while len(_cayley_map(base, gens, gens)) < len(nonzero):
@@ -383,7 +385,7 @@ def enumerate_mult_autos(base: BaseStructure) -> list:
         phi = _cayley_map(base, gens, images)
         if phi is not None and len(set(phi.values())) == len(nonzero):
             found.append(PermAuto(base, {base.zero: base.zero, **phi}))
-    found.sort(key=lambda a: tuple(els.index(v) for v in a._signature))
+    found.sort(key=lambda a: a._signature)
     return found
 
 

@@ -72,7 +72,7 @@ class BaseStructure:
         raise NotImplementedError
 
     def is_zero(self, x):
-        return self.eq(x, self.zero)
+        return x == 0
 
     def elements(self):
         raise UnsupportedBaseError(f"{self.kind} base is not enumerable")
@@ -96,10 +96,11 @@ class BaseStructure:
 
 
 class GaloisField(BaseStructure):
-    """GF(p^n) on the tables of ``gf_build``: elements are ``GFElement``
-    coefficient tuples, and sums, negations, products, inverses and powers
-    are discrete log/antilog/Zech lookups.  Immutable; every method is a
-    pure function of its arguments."""
+    """GF(p^n) on the tables of ``gf_build``: an element is a ``GFElement``,
+    the integer code that indexes ``elements()``, and sums, negations,
+    products, inverses and powers index the log array and the antilog and
+    Zech tables.  Zero is the code 0.  Immutable; every method is a pure
+    function of its arguments."""
 
     kind = "gf"
     is_finite = True
@@ -119,19 +120,16 @@ class GaloisField(BaseStructure):
     # -- element plumbing --
 
     def element(self, coeffs) -> GFElement:
-        c = GFElement(int(x) for x in coeffs)
+        c = [int(x) for x in coeffs]
         if len(c) != self.n or any(x < 0 or x >= self.p for x in c):
             raise BaseMismatchError(f"{list(coeffs)} is not an element of {self}")
-        return c
+        return self._elements[sum(x * self.p**i for i, x in enumerate(c))]
 
     def check(self, x) -> GFElement:
-        """The field's own element equal to the ``GFElement`` x; plain
-        tuples are refused even though they compare equal."""
-        if isinstance(x, GFElement):
-            if x == self.zero:
-                return self.zero
-            if x in self.log:
-                return self.antilog[self.log[x]]
+        """The field's own element with the code of x, which must be an
+        element of a field of the same p and n; plain ints are refused."""
+        if isinstance(x, GFElement) and (x.p, x.n) == (self.p, self.n):
+            return self._elements[x]
         raise BaseMismatchError(f"{x!r} is not an element of {self}")
 
     def from_int(self, k: int) -> GFElement:
@@ -140,10 +138,7 @@ class GaloisField(BaseStructure):
         return self._elements[k]
 
     def to_int(self, x: GFElement) -> int:
-        k = 0
-        for c in reversed(x):
-            k = k * self.p + c
-        return k
+        return int(x)
 
     def elements(self):
         return self._elements
@@ -152,31 +147,31 @@ class GaloisField(BaseStructure):
 
     def add(self, x, y):
         # g^a + g^b = g^a (1 + g^(b - a)) = g^(a + zech[b - a])
-        if x == self.zero:
+        if not x:
             return y
-        if y == self.zero:
+        if not y:
             return x
         lx = self.log[x]
         z = self._zech[(self.log[y] - lx) % self._units]
         return self.zero if z < 0 else self.antilog[(lx + z) % self._units]
 
     def neg(self, x):
-        if x == self.zero:
+        if not x:
             return self.zero
         return self.antilog[(self.log[x] + self._neg_shift) % self._units]
 
     def mul(self, x, y):
-        if x == self.zero or y == self.zero:
+        if not x or not y:
             return self.zero
         return self.antilog[(self.log[x] + self.log[y]) % self._units]
 
     def inv(self, x):
-        if x == self.zero:
+        if not x:
             raise ZeroDivisionError("inverse of zero")
         return self.antilog[-self.log[x] % self._units]
 
     def pow(self, x, e: int):
-        if x == self.zero:
+        if not x:
             if e <= 0:
                 raise ZeroDivisionError(f"0 ** {e} is undefined")
             return self.zero
@@ -184,9 +179,6 @@ class GaloisField(BaseStructure):
 
     def eq(self, x, y):
         return x == y
-
-    def is_zero(self, x):
-        return x == self.zero
 
     def describe(self):
         return {"kind": "gf", "p": self.p, "n": self.n, "modulus": list(self.modulus)}
@@ -213,18 +205,17 @@ class Dickson9(GaloisField):
     def __init__(self):
         super().__init__(3, 2)
         gf_mul, els = super().mul, self._elements
-        # a . b = a*b for a square a, a*b^3 otherwise; zero has no log, and
+        # a . b = a*b for a square a, a*b^3 otherwise; zero's log is -1, and
         # its product is zero whichever branch runs
-        self._product = {
-            x: {y: gf_mul(x, y if self.log.get(x, 0) % 2 == 0 else self.pow(y, 3)) for y in els}
-            for x in els
-        }
+        self._product = [
+            [gf_mul(x, y if self.log[x] % 2 == 0 else self.pow(y, 3)) for y in els] for x in els
+        ]
 
     def mul(self, x, y):
         return self._product[x][y]
 
     def inv(self, x):
-        if x == self.zero:
+        if not x:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(x, -1 if self.log[x] % 2 == 0 else -3)
 
@@ -268,9 +259,6 @@ class FloatField(BaseStructure):
             return x == y
         return diff <= self.tolerance * max(1.0, abs(x), abs(y))
 
-    def is_zero(self, x):
-        return x == 0
-
     def sample_points(self):
         return self.GRID
 
@@ -291,7 +279,7 @@ class RealField(FloatField):
     GRID = (-10.0, -math.e, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, math.e, 10.0)
 
     def check(self, x):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
+        if isinstance(x, (bool, GFElement)) or not isinstance(x, (int, float)):
             raise BaseMismatchError(f"{x!r} is not a real scalar")
         return float(x)
 
@@ -305,7 +293,7 @@ class ComplexField(FloatField):
     GRID = tuple(r * cmath.exp(1j * t) for r, t in itertools.product(MODULI, ARGUMENTS))
 
     def check(self, x):
-        if isinstance(x, bool) or not isinstance(x, (int, float, complex)):
+        if isinstance(x, (bool, GFElement)) or not isinstance(x, (int, float, complex)):
             raise BaseMismatchError(f"{x!r} is not a complex scalar")
         return complex(x)
 
@@ -377,10 +365,7 @@ def divisionring_transport_check(base: BaseStructure, sigma) -> Report:
     inv = sigma.inverse()
     image = tuple(sigma.apply(g) for g in fd)
     violations = []
-    preimage = sorted(
-        (inv.apply(a) for a in image), key=lambda e: base.elements().index(e)
-    )
-    if tuple(preimage) != tuple(fd):
+    if tuple(sorted(inv.apply(a) for a in image)) != fd:
         violations.append({"kind": "not-bijective-onto-distributive-part"})
     for a in image:
         for b in image:

@@ -87,9 +87,8 @@ class SparseVector:
         items = entries.items() if isinstance(entries, dict) else entries
         kept = {}
         for label, value in items:
-            if _scalar_is_zero(value):
-                continue
-            kept[str(label)] = value
+            if value != 0:  # zero in every base, the code 0 of a finite one too
+                kept[str(label)] = value
         self._entries = dict(sorted(kept.items()))
         self._hash = hash(frozenset(kept.items()))
 
@@ -131,12 +130,6 @@ class SparseVector:
 
 
 ZERO_VECTOR = SparseVector()
-
-
-def _scalar_is_zero(value):
-    if hasattr(value, "is_zero"):
-        return value.is_zero
-    return value == 0
 
 
 class Partition:
@@ -314,22 +307,21 @@ def exponent_space(base, sigma_exponents, rho_exponents=None):
 
 
 def _base_tables(base):
-    """(elements, idx, add, mul) of a finite base: its element order, the
-    index of each element, and the index tables of its addition and
-    product, built from ``base.add`` and ``base.mul`` alone."""
+    """(elements, add, mul) of a finite base: its elements, each its own
+    index, and the tables of its addition and product, built from
+    ``base.add`` and ``base.mul`` alone."""
     els = base.elements()
-    idx = {e: k for k, e in enumerate(els)}
-    add = [[idx[base.add(a, b)] for b in els] for a in els]
-    mul = [[idx[base.mul(a, b)] for b in els] for a in els]
-    return els, idx, add, mul
+    add = [[base.add(a, b) for b in els] for a in els]
+    mul = [[base.mul(a, b) for b in els] for a in els]
+    return els, add, mul
 
 
 class _FiniteTables:
     """Integer-indexed operation tables for exhaustive sweeps.
 
-    Scalars become indexes into the base's element order; vectors become
-    plain tuples of indexes.  Addition and scalar action are list lookups;
-    ``base_add`` is the untwisted addition of the base.
+    Scalars are their own indexes into the base's element order; vectors
+    become plain tuples of indexes.  Addition and scalar action are list
+    lookups; ``base_add`` is the untwisted addition of the base.
 
     ``class_of[i][x]`` is the class id of the tuple of g with
     a.u + b.u = g.u on coordinate i at u_i = x, over the pairs (a, b) in
@@ -339,13 +331,12 @@ class _FiniteTables:
     """
 
     def __init__(self, spec: SpaceSpec):
-        els, idx, base_add, base_mul = _base_tables(spec.base)
+        els, base_add, base_mul = _base_tables(spec.base)
         q = len(els)
 
         self.spec = spec
         self.elements = els
         self.q = q
-        self.idx = idx
         self.base_add = base_add
         self.labels = spec.index
         self.d = len(self.labels)
@@ -355,14 +346,14 @@ class _FiniteTables:
         ids = {}  # tuple of g -> class id, shared by all labels
         for label in self.labels:
             sig = spec.sigma[label]
-            s = [idx[sig.apply(e)] for e in els]
+            s = list(map(sig.apply, els))
             si = [0] * q
             for k, v in enumerate(s):
                 si[v] = k
             add = [[si[base_add[s[a]][s[b]]] for b in range(q)] for a in range(q)]
             self.add_t.append(add)
             rho = spec.rho[label]
-            r = [idx[rho.apply(e)] for e in els]
+            r = list(map(rho.apply, els))
             act = [[base_mul[r[g]][x] for x in range(q)] for g in range(q)]
             self.act_t.append(act)
             classes = [0]

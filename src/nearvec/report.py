@@ -1,9 +1,5 @@
 """Structured pass/fail reports returned by the verification operations."""
 
-from dataclasses import dataclass, field
-
-
-@dataclass
 class Report:
     """Outcome of a check: overall verdict, counters, and any violations.
 
@@ -12,10 +8,10 @@ class Report:
     kept as they are and take their JSON form in ``to_json``.
     """
 
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
+    def __init__(self, name, passed, details=None, violations=None):
+        self.name, self.passed = name, passed
+        self.details = {} if details is None else details
+        self.violations = [] if violations is None else violations
 
     def to_json(self):
         from .serialize import json_value  # serialize imports the checks

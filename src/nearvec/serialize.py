@@ -19,7 +19,7 @@ import functools
 
 from .complexify import ComplexificationSpec
 from .errors import NearVecError, charge
-from .galois import _check_order
+from .galois import GFElement, _check_order
 from .mult_auto import (
     ComplexEps,
     FinitePower,
@@ -29,7 +29,14 @@ from .mult_auto import (
     compose,
     identity_auto,
 )
-from .nearfield import DEFAULT_TOLERANCE, ComplexField, Dickson9, GaloisField, RealField
+from .nearfield import (
+    DEFAULT_BRUTE_BOUND,
+    DEFAULT_TOLERANCE,
+    ComplexField,
+    Dickson9,
+    GaloisField,
+    RealField,
+)
 from .nvspace import SparseVector, SpaceSpec
 
 
@@ -113,9 +120,11 @@ def base_from_json(obj, tolerance=None, bound=None):
 
 def json_value(obj):
     """The JSON form of a value held in an output or a report record:
-    finite-base scalars (coefficient tuples) become coefficient arrays,
+    finite-base scalars (``GFElement`` codes) become coefficient arrays,
     complexes [re, im], vectors {label: scalar}, and containers are encoded
     item by item."""
+    if isinstance(obj, GFElement):
+        return list(obj.coeffs)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, SparseVector):
@@ -137,7 +146,9 @@ def scalar_from_json(base, obj):
     raise NearVecError(f"cannot decode scalar for {base!r}")
 
 
-def auto_from_json(base, obj):
+def auto_from_json(base, obj, bound=DEFAULT_BRUTE_BOUND):
+    """The automorphism a record describes; a ``perm`` table's q^2 product
+    check, at any depth of a ``comp``, is refused beyond ``bound``."""
     obj = _record(obj, "automorphism")
     kind = obj.get("kind")
     if kind == "fpow":
@@ -152,24 +163,27 @@ def auto_from_json(base, obj):
         if any(len(pair) != 2 for pair in pairs):
             raise NearVecError("perm entries must be [in, out] pairs")
         table = {scalar_from_json(base, x): scalar_from_json(base, y) for x, y in pairs}
-        return PermAuto(base, table)
+        return PermAuto(base, table, bound)
     if kind == "inner":
         return InnerAuto(base, scalar_from_json(base, _field(obj, "gamma", kind)))
     if kind == "comp":
-        factors = [auto_from_json(base, f) for f in _list(_field(obj, "factors", kind), "factors")]
+        factors = [
+            auto_from_json(base, f, bound) for f in _list(_field(obj, "factors", kind), "factors")
+        ]
         return functools.reduce(compose, factors) if factors else identity_auto(base)
     raise NearVecError(f"unknown automorphism kind {kind!r}")
 
 
-def spec_from_json(obj, tolerance=None) -> SpaceSpec:
+def spec_from_json(obj, tolerance=None, bound=DEFAULT_BRUTE_BOUND) -> SpaceSpec:
+    """The space a record describes; ``bound`` goes to ``auto_from_json``."""
     obj = _record(obj, "space")
     base = base_from_json(_field(obj, "base", "space"), tolerance=tolerance)
     index = [str(k) for k in _list(_field(obj, "index", "space"), "index")]
     sigma, rho = (_record(_field(obj, key, "space"), key) for key in ("sigma", "rho"))
     spec = SpaceSpec(
         base,
-        {k: auto_from_json(base, _field(sigma, k, "sigma")) for k in index},
-        {k: auto_from_json(base, _field(rho, k, "rho")) for k in index},
+        {k: auto_from_json(base, _field(sigma, k, "sigma"), bound) for k in index},
+        {k: auto_from_json(base, _field(rho, k, "rho"), bound) for k in index},
     )
     if list(spec.index) != sorted(index):
         raise NearVecError("index does not match sigma/rho labels")

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from nearvec.cli import build_parser, main
-from nearvec.nearfield import Dickson9
+from nearvec.mult_auto import FinitePower, as_perm
+from nearvec.nearfield import Dickson9, GaloisField
 from nearvec.serialize import vector_to_json
 
 BENCH_CLI_CALLS = Path(__file__).resolve().parents[1] / "bench" / "cli_calls.py"
@@ -512,11 +513,28 @@ def test_space_refuses_non_multiplicative_table(capsys):
     bad = {x: x for x in d9.elements()}
     a, b = d9.from_int(2), d9.from_int(3)
     bad[a], bad[b] = b, a
-    perm = {"kind": "perm", "table": [[list(x), list(y)] for x, y in bad.items()]}
+    perm = {"kind": "perm", "table": [[list(x.coeffs), list(y.coeffs)] for x, y in bad.items()]}
     spec = {"base": {"kind": "dickson9"}, "index": ["1"], "sigma": {"1": perm}, "rho": {"1": perm}}
     code, out, err = run_cli(capsys, "space", json.dumps(spec), "qk")
     assert code == 2 and out == ""
     assert "not multiplicative" in err and err.count("\n") == 1
+
+
+def test_space_charges_decoded_perm_tables(capsys, tmp_path):
+    # two GF(1024) perm sigma tables: their q^2 product checks, 2^20 pairs
+    # each, exceed the bound before they run
+    gf = GaloisField(2, 10)
+    spec = {
+        "base": gf.describe(),
+        "index": ["1", "2"],
+        "sigma": {k: as_perm(FinitePower(gf, a)).describe() for k, a in (("1", 2), ("2", 7))},
+        "rho": {k: {"kind": "fpow", "alpha": 1} for k in ("1", "2")},
+    }
+    path = tmp_path / "perm1024.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "space", str(path), "decompose", "--bound", "10")
+    assert code == 2 and out == ""
+    assert err == "error: 1024^2 product pairs exceed the bound 10\n"
 
 
 def test_space_qk_real_spec(capsys, tmp_path):

@@ -9,14 +9,15 @@ polynomial arithmetic modulo the field's modulus.
 """
 
 import itertools
+import json
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
 
 from nearvec.errors import BoundExceededError, NearVecError
 from nearvec.galois import (
-    GFElement,
     gf_build,
     is_prime,
     same_addition_exponents,
@@ -68,6 +69,12 @@ def schoolbook_mul(a, b, modulus, p):
     return tuple(prod[:n])
 
 
+def code(coeffs, p):
+    """The integer code of a coefficient tuple: base-p digits, constant
+    term least significant."""
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
 def oracle_element_order(table, x):
     k, acc = 1, x
     while acc != table.one:
@@ -116,10 +123,11 @@ def test_tables_match_oracles_on_every_small_field():
         q = p**n
         modulus, elements, generator, log, antilog, zech = gf_build(p, n)
         assert modulus == (oracle_first_irreducible(p, n) if n > 1 else (0, 1))
-        assert [tuple(x) for x in elements] == [
+        assert elements == tuple(range(q))
+        assert [x.coeffs for x in elements] == [
             tuple(k // p**i % p for i in range(n)) for k in range(q)
         ]
-        one = elements[1]
+        one = elements[1].coeffs
 
         def order(x):
             k, acc = 1, x
@@ -128,15 +136,16 @@ def test_tables_match_oracles_on_every_small_field():
                 k += 1
             return k
 
-        first = next(x for x in elements[1:] if order(x) == q - 1)
+        first = next(x for x in elements[1:] if order(x.coeffs) == q - 1)
         assert generator == first
-        assert antilog[0] == one and len(antilog) == len(log) == q - 1
+        assert antilog[0].coeffs == one and len(antilog) == q - 1
+        assert len(log) == q and log[0] == -1
         for e in range(q - 1):
-            step = schoolbook_mul(antilog[e], generator, modulus, p)
-            assert step == (antilog[e + 1] if e + 2 < q else one)
+            step = schoolbook_mul(antilog[e].coeffs, generator.coeffs, modulus, p)
+            assert step == (antilog[e + 1] if e + 2 < q else elements[1]).coeffs
             assert log[antilog[e]] == e
-            succ = tuple((c + (i == 0)) % p for i, c in enumerate(antilog[e]))
-            assert zech[e] == (log[succ] if any(succ) else -1)
+            succ = tuple((c + (i == 0)) % p for i, c in enumerate(antilog[e].coeffs))
+            assert zech[e] == (log[code(succ, p)] if any(succ) else -1)
         assert len(zech) == q - 1
 
 
@@ -156,12 +165,12 @@ def test_large_fields_pinned(p, n, modulus, generator):
     assert t.modulus == modulus
     assert t.generator == t.from_int(generator)
     if (p, n) == (2, 16):
-        assert t.log[t.from_int(2)] == 52011 and len(t.log) == 65535
+        assert t.log[t.from_int(2)] == 52011 and len(t.log) == 65536 and t.log[0] == -1
     rng = random.Random(p * 100 + n)
     m = t.order() - 1
     for e in rng.sample(range(m), 200):
-        step = schoolbook_mul(t.antilog[e], t.generator, modulus, p)
-        assert step == t.antilog[(e + 1) % m]
+        step = schoolbook_mul(t.antilog[e].coeffs, t.generator.coeffs, modulus, p)
+        assert step == t.antilog[(e + 1) % m].coeffs
 
 
 def test_modulus_examples():
@@ -245,37 +254,36 @@ def test_arithmetic_matches_schoolbook(p, n):
     assert [x.coeffs for x in els] == [
         tuple(k // p**i % p for i in range(n)) for k in range(q)
     ]
-    one = GFElement((1,) + (0,) * (n - 1))
-    assert field.one == one
+    one = (1,) + (0,) * (n - 1)
+    assert field.one.coeffs == one
 
-    def mul(x, y):
-        return GFElement(schoolbook_mul(x.coeffs, y.coeffs, field.modulus, p))
+    def mul(a, b):  # coefficient tuples
+        return schoolbook_mul(a, b, field.modulus, p)
 
     for x in els:
-        assert field.neg(x) == GFElement(tuple(-c % p for c in x.coeffs))
+        c = x.coeffs
+        assert field.neg(x).coeffs == tuple(-a % p for a in c)
         for y in els:
-            assert field.add(x, y) == GFElement(
-                tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))
-            )
-            assert field.mul(x, y) == mul(x, y)
-        if x.is_zero:
+            assert field.add(x, y).coeffs == tuple((a + b) % p for a, b in zip(c, y.coeffs))
+            assert field.mul(x, y).coeffs == mul(c, y.coeffs)
+        if not any(c):
             for e in range(1, q + 1):
                 assert field.pow(x, e) == x
             for e in range(-2, 1):
                 with pytest.raises(ZeroDivisionError):
                     field.pow(x, e)
             continue
-        assert mul(x, field.inv(x)) == one
+        assert mul(c, field.inv(x).coeffs) == one
         power = one  # x^e by repeated schoolbook products
         for e in range(q + 1):
-            assert field.pow(x, e) == power
+            assert field.pow(x, e).coeffs == power
             if e in (1, 2):
-                assert mul(field.pow(x, -e), power) == one
-            power = mul(power, x)
+                assert mul(field.pow(x, -e).coeffs, power) == one
+            power = mul(power, c)
 
 
 def _coefficientwise(field, x, y):
-    return GFElement((a + b) % field.p for a, b in zip(x, y))
+    return tuple((a + b) % field.p for a, b in zip(x.coeffs, y.coeffs))
 
 
 def test_add_and_neg_match_coefficients_on_every_small_field():
@@ -283,9 +291,9 @@ def test_add_and_neg_match_coefficients_on_every_small_field():
         field = GaloisField(p, n)
         els = field.elements()
         for x in els:
-            assert field.neg(x) == GFElement(-c % p for c in x)
+            assert field.neg(x).coeffs == tuple(-c % p for c in x.coeffs)
             for y in els:
-                assert field.add(x, y) == _coefficientwise(field, x, y)
+                assert field.add(x, y).coeffs == _coefficientwise(field, x, y)
 
 
 @pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (251, 2)])
@@ -295,8 +303,8 @@ def test_add_and_neg_match_coefficients_on_large_fields(p, n):
     rng = random.Random(p * 100 + n)
     for _ in range(20_000):
         x, y = rng.choice(els), rng.choice(els)
-        assert field.add(x, y) == _coefficientwise(field, x, y)
-        assert field.neg(x) == GFElement(-c % p for c in x)
+        assert field.add(x, y).coeffs == _coefficientwise(field, x, y)
+        assert field.neg(x).coeffs == tuple(-c % p for c in x.coeffs)
     assert field.add(els[5], field.neg(els[5])) == field.zero
 
 
@@ -316,20 +324,45 @@ def test_element_validation():
     with pytest.raises(NearVecError):
         t4.element((2, 0))
     with pytest.raises(NearVecError):
-        t4.check(GFElement((1, 0, 0)))
+        t4.check(GaloisField(2, 3).element((1, 0, 0)))
 
 
-def test_element_is_its_residue_tuple():
+def test_element_is_its_integer_code():
     t9 = GaloisField(3, 2)
     x = t9.from_int(5)  # 5 = 2 + 1 * 3
-    assert x == (2, 1) and hash(x) == hash((2, 1))
-    assert {(2, 1): "found"}[x] == "found"
+    assert x == 5 and hash(x) == hash(5) and {5: "found"}[x] == "found"
+    assert t9.elements()[x] is x and t9.element((2, 1)) is x
+    assert t9.to_int(x) == 5 and type(t9.to_int(x)) is int
     assert x.coeffs == (2, 1) and type(x.coeffs) is tuple
-    assert repr(x) == "GFElement([2, 1])" and not x.is_zero and t9.zero.is_zero
-    assert t9.check(x) == x
-    # equal as values, but a plain tuple is still not a field element
+    assert repr(x) == str(x) == "GFElement([2, 1])"
+    assert x and not t9.zero and t9.zero == 0  # zero is falsy
+    assert json.dumps(x) == "5"  # serialize.json_value gives [2, 1]
+    assert t9.check(x) is x
+    # equal as values, but a plain int is still not a field element
     with pytest.raises(NearVecError):
-        t9.check((2, 1))
+        t9.check(5)
+
+
+def test_check_refuses_plain_ints_and_other_fields():
+    # each of these equals the code of an element of GF(9)
+    t9 = GaloisField(3, 2)
+    for foreign in (5, GaloisField(2, 3).from_int(5), GaloisField(3, 1).from_int(2)):
+        assert foreign in t9.elements()
+        with pytest.raises(NearVecError):
+            t9.check(foreign)
+
+
+def test_gf65536_tables_stay_small():
+    # one int per element, the log and Zech arrays and the antilog list
+    # come to about 7.5 MB; a tuple per element or a dict of q entries would
+    # pass the limit
+    tracemalloc.start()
+    try:
+        GaloisField(2, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
 
 
 # -- unit classification ----------------------------------------------------

@@ -93,8 +93,8 @@ def test_perm_validation(d9):
     swapped[d9.zero], swapped[d9.one] = d9.one, d9.zero
     with pytest.raises(NearVecError):
         PermAuto(d9, swapped)
-    with pytest.raises(NearVecError):  # plain tuples are not elements
-        PermAuto(d9, {tuple(x): tuple(x) for x in els})
+    with pytest.raises(NearVecError):  # plain ints are not elements
+        PermAuto(d9, {int(x): int(x) for x in els})
     # a bijection fixing 0 and 1 that breaks the product law
     bad = {x: x for x in els}
     a, b = d9.from_int(3), d9.from_int(4)
@@ -174,7 +174,7 @@ def test_decoded_tables_keep_the_full_check(d9):
     bad = {x: x for x in d9.elements()}
     a, b = d9.from_int(2), d9.from_int(3)
     bad[a], bad[b] = b, a
-    record = {"kind": "perm", "table": [[list(x), list(y)] for x, y in bad.items()]}
+    record = {"kind": "perm", "table": [[list(x.coeffs), list(y.coeffs)] for x, y in bad.items()]}
     with pytest.raises(NearVecError, match="not multiplicative"):
         auto_from_json(d9, record)
 

@@ -5,12 +5,13 @@ import math
 
 import pytest
 
-from nearvec.errors import BaseMismatchError, NearVecError
+from nearvec.errors import BaseMismatchError, BoundExceededError, NearVecError
 from nearvec.mult_auto import (
     ComplexEps,
     FinitePower,
     InnerAuto,
     RealPower,
+    as_perm,
     enumerate_mult_autos,
 )
 from nearvec.nearfield import COMPLEXES, REALS, ComplexField, Dickson9, GaloisField, RealField
@@ -49,6 +50,17 @@ def test_scalar_roundtrip():
     assert scalar_from_json(REALS, json_value(-2.5)) == -2.5
     z = complex(1.5, -2.0)
     assert scalar_from_json(COMPLEXES, json_value(z)) == z
+
+
+@pytest.mark.parametrize(
+    "base", [GaloisField(2, 2), GaloisField(3, 2), Dickson9(), GaloisField(2, 5)], ids=repr
+)
+def test_every_finite_scalar_roundtrips(base):
+    # a scalar's JSON form is its coefficient array, never its integer code
+    for x in base.elements():
+        record = json.loads(json.dumps(json_value(x)))
+        assert record == list(x.coeffs)
+        assert scalar_from_json(base, record) is x
 
 
 def test_auto_roundtrip():
@@ -106,3 +118,23 @@ def test_non_finite_tolerance_refused(kind, field, tolerance):
 def test_tolerance_override_is_not_read_as_absent(tolerance):
     with pytest.raises(BaseMismatchError):
         base_from_json({"kind": "real", "tolerance": 1e-3}, tolerance=tolerance)
+
+
+def test_decoded_perm_tables_are_charged():
+    # the q^2 product check of a decoded table counts against the bound, at
+    # any depth of a comp record and in a space file; derived tables do not
+    gf32 = GaloisField(2, 5)
+    record = as_perm(FinitePower(gf32, 3)).describe()
+    with pytest.raises(BoundExceededError, match="^32\\^2 product pairs exceed the bound 1023$"):
+        auto_from_json(gf32, record, bound=1023)
+    with pytest.raises(BoundExceededError):
+        auto_from_json(gf32, {"kind": "comp", "factors": [record, record]}, bound=1023)
+    assert auto_from_json(gf32, record, bound=1024) == as_perm(FinitePower(gf32, 3))
+    spec = {"base": gf32.describe(), "index": ["1"], "sigma": {"1": record}, "rho": {"1": record}}
+    with pytest.raises(BoundExceededError):
+        spec_from_json(spec, bound=1023)
+    assert spec_from_json(spec, bound=1024).dim == 1
+    # above order 1000, q^2 exceeds the default bound
+    gf1024 = GaloisField(2, 10)
+    with pytest.raises(BoundExceededError, match="1024\\^2 product pairs exceed the bound 1000000"):
+        auto_from_json(gf1024, as_perm(FinitePower(gf1024, 2)).describe())
