@@ -275,7 +275,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NearVecError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
+    except (NearVecError, OSError, json.JSONDecodeError, UnicodeDecodeError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

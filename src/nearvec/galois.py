@@ -272,8 +272,8 @@ def unit_classification(p: int, n: int) -> UnitClassification:
     if q < 3:
         raise NearVecError(f"p^n must be at least 3, got {q}")
     m = q - 1
-    units = tuple(a for a in range(1, m) if gcd(a, m) == 1) if m > 1 else (1,)
-    frob = _orbit(1, p % m, m) if m > 1 else (1,)
+    units = tuple(a for a in range(1, m) if gcd(a, m) == 1)
+    frob = _orbit(1, p % m, m)
     classes = []
     seen = set()
     for u in units:

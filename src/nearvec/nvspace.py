@@ -3,8 +3,8 @@
 A ``SpaceSpec`` fixes a scalar base, an ordered set of string labels, and
 two automorphisms per label: ``sigma`` twists the coordinate addition
 (u_i (+)_sigma_i v_i) and ``rho`` twists the scalar action
-(a . v_i = rho_i(a) * v_i).  Vectors are sparse maps from labels to nonzero
-scalars; stored zeros are pruned eagerly so the support is always exact.
+(a . v_i = rho_i(a) * v_i).  Vectors are tuples of (label, nonzero scalar)
+pairs sorted by label; zeros are pruned eagerly so the support is exact.
 
 The quasi-kernel is the set of vectors u for which every combination
 a.u + b.u is again a scalar multiple of u.  It has a closed form: vectors
@@ -77,92 +77,76 @@ COMPLEX_MEMBERSHIP_VALUES = (
 )
 
 
-class SparseVector:
-    """Immutable finite-support map from labels to nonzero scalars, kept
-    in label order."""
+class SparseVector(tuple):
+    """A finitely supported family as its (label, nonzero scalar) pairs sorted
+    by label; from a dict or pairs, str labels, the last nonzero value kept."""
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ()
 
-    def __init__(self, entries=()):
+    def __new__(cls, entries=()):
         items = entries.items() if isinstance(entries, dict) else entries
         kept = {}
         for label, value in items:
             if value != 0:  # zero in every base, the code 0 of a finite one too
                 kept[str(label)] = value
-        self._entries = dict(sorted(kept.items()))
-        self._hash = hash(frozenset(kept.items()))
+        return super().__new__(cls, sorted(kept.items()))
 
-    @property
-    def entries(self):
-        return dict(self._entries)
+    entries = property(dict)  # a fresh {label: scalar} dict
 
     @property
     def support(self):
-        return tuple(self._entries)
+        return tuple(label for label, _ in self)
 
     def get(self, label, default=None):
-        return self._entries.get(label, default)
+        for k, value in self:
+            if k == label:
+                return value
+        return default
 
     def is_zero(self):
-        return not self._entries
+        return not self
 
     def restrict(self, labels):
         labels = set(labels)
-        return SparseVector(
-            {k: v for k, v in self._entries.items() if k in labels}
-        )
-
-    def __iter__(self):
-        return iter(self._entries.items())
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __eq__(self, other):
-        return isinstance(other, SparseVector) and self._entries == other._entries
-
-    def __hash__(self):
-        return self._hash
+        return SparseVector([(k, v) for k, v in self if k in labels])
 
     def __repr__(self):
-        inside = ", ".join(f"{k}: {v!r}" for k, v in self._entries.items())
+        inside = ", ".join(f"{k}: {v!r}" for k, v in self)
         return f"SparseVector({{{inside}}})"
 
 
 ZERO_VECTOR = SparseVector()
 
 
-class Partition:
-    """Disjoint blocks of labels; blocks and members sorted, representative
-    is the smallest label of each block."""
+class Partition(tuple):
+    """Disjoint blocks of labels: sorted label tuples, ordered by their
+    first and smallest label, the block's representative."""
 
-    def __init__(self, blocks):
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
-        self.blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        self._member_block = {}
-        for b in self.blocks:
+    __slots__ = ()
+
+    def __new__(cls, blocks):
+        blocks = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
+        seen = set()
+        for b in blocks:
             for label in b:
-                if label in self._member_block:
+                if label in seen:
                     raise NearVecError(f"label {label} appears in two blocks")
-                self._member_block[label] = b
+                seen.add(label)
+        return super().__new__(cls, blocks)
+
+    blocks = property(tuple)  # the blocks as a plain tuple
 
     def block_of(self, label):
-        return self._member_block[label]
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.blocks == other.blocks
+        for b in self:
+            if label in b:
+                return b
+        raise KeyError(label)
 
     def __repr__(self):
-        return f"Partition({[list(b) for b in self.blocks]!r})"
+        return f"Partition({[list(b) for b in self]!r})"
 
     def to_json(self):
-        return [list(b) for b in self.blocks]
+        return [list(b) for b in self]
 
 
 class SpaceSpec:
@@ -334,7 +318,6 @@ class _FiniteTables:
         els, base_add, base_mul = _base_tables(spec.base)
         q = len(els)
 
-        self.spec = spec
         self.elements = els
         self.q = q
         self.base_add = base_add
@@ -520,7 +503,7 @@ def materialize_quasi_kernel(
     out = {ZERO_VECTOR}
     for block, pools, unconstrained in blocks:
         for combo in itertools.product(*pools):
-            k_vec = SparseVector(list(zip(block, combo)))
+            k_vec = SparseVector(zip(block, combo))
             if k_vec.is_zero():
                 continue
             if unconstrained:

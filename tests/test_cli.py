@@ -261,6 +261,13 @@ def test_space_bound_exceeded(capsys, spec_file):
 
 GF5 = {"kind": "gf", "p": 5, "n": 1}
 IDENT = {"kind": "fpow", "alpha": 1}
+# x^1e300 overflows on the sampled reals
+OVERFLOW_SPACE = {
+    "base": {"kind": "real"},
+    "index": ["1", "2"],
+    "sigma": {"1": {"kind": "rpow", "alpha": 1}, "2": {"kind": "rpow", "alpha": 1e300}},
+    "rho": {"1": {"kind": "rpow", "alpha": 1}, "2": {"kind": "rpow", "alpha": 1}},
+}
 
 
 def _space_text(base=GF5, sigma=IDENT, rho=IDENT):
@@ -283,6 +290,7 @@ def _space_text(base=GF5, sigma=IDENT, rho=IDENT):
             sigma={"kind": "ceps", "alpha": [2, 0], "conj": "yes"},
             rho={"kind": "ceps", "alpha": [1, 0]},
         ),
+        json.dumps(OVERFLOW_SPACE),
     ],
     ids=[
         "truncated",
@@ -292,6 +300,7 @@ def _space_text(base=GF5, sigma=IDENT, rho=IDENT):
         "p-text",
         "not-object",
         "conj-text",
+        "alpha-overflow",
     ],
 )
 def test_space_malformed_file(capsys, tmp_path, text):
@@ -440,9 +449,11 @@ def test_complexify_zero_exponent(capsys, tmp_path):
         '{"T": [1], "conj": 1}',
         '[1, 2]',
         '{"S": [1]}',
+        '{"T": [1e300]}',
+        '{"T": [1e-300]}',
     ],
     ids=["T-text", "T-number", "T-bool", "S-null-entry", "S-number", "conj-text", "conj-int", "not-object",
-         "T-missing"],
+         "T-missing", "T-overflow", "T-tiny-overflow"],
 )
 def test_complexify_malformed(capsys, tmp_path, text):
     cfile = tmp_path / "c.json"
@@ -451,6 +462,61 @@ def test_complexify_malformed(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _paths(obj, path=()):
+    """Every key and index path inside a JSON value, below the value itself."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+DROP = object()
+# swapped in at every path; [[0, 0]] is a perm table of bare integers
+FUZZ_VALUES = [DROP, None, "x", [], [[0, 0]], 0, True, 1e300, -1e300, float("nan")]
+FUZZ_RECORDS = [
+    *(("space", rec, "qk") for rec in FULL_SPACES.values()),
+    ("space", {**OVERFLOW_SPACE, "sigma": OVERFLOW_SPACE["rho"]}, "qk"),  # x^1 on both labels
+    ("space", FULL_SPACES["gf5"], "axioms"),
+    ("space", FULL_SPACES["gf5"], "decompose"),
+    ("autos", GF5),
+    ("autos", {"kind": "dickson9"}),
+    ("check-base", {"kind": "gf", "p": 3, "n": 2}),
+    ("check-base", {"kind": "real", "tolerance": 1e-9}),
+    ("check-base", {"kind": "complex"}),
+    ("complexify", {"T": [2.0, 0.5], "S": [1.0], "conj": False}),
+]
+
+
+def _mutants(record):
+    """The record with one field dropped or one value swapped out, in every
+    way ``FUZZ_VALUES`` allows."""
+    for *head, last in _paths(record):
+        for value in FUZZ_VALUES:
+            obj = json.loads(json.dumps(record))
+            holder = obj
+            for key in head:
+                holder = holder[key]
+            if value is not DROP:
+                holder[last] = value
+            elif isinstance(holder, dict):
+                del holder[last]
+            else:
+                continue
+            yield obj
+
+
+def test_contract_fuzz(capsys):
+    for command, record, *rest in FUZZ_RECORDS:
+        for obj in _mutants(record):
+            argv = (command, json.dumps(obj), *rest)
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
+            else:
+                json.loads(out)
 
 
 def test_check_base(capsys):

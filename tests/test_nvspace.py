@@ -177,8 +177,18 @@ def test_decomposition_classes_inner_twist(d9):
 
 
 def test_partition_rejects_overlap():
-    with pytest.raises(NearVecError):
+    with pytest.raises(NearVecError, match="label 2 appears in two blocks"):
         Partition([("1", "2"), ("2", "3")])
+
+
+def test_partition_blocks_and_lookup():
+    partition = Partition([["3", "1"], ["2"]])
+    assert partition.blocks == (("1", "3"), ("2",))
+    assert partition.block_of("3") == ("1", "3")
+    assert repr(partition) == "Partition([['1', '3'], ['2']])"
+    assert partition.to_json() == [["1", "3"], ["2"]]
+    with pytest.raises(KeyError):
+        partition.block_of("4")
 
 
 def test_decomposition_never_finer_than_same_addition(gf5):

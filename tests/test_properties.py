@@ -34,6 +34,7 @@ from nearvec.nvspace import (
     COMPLEX_MEMBERSHIP_VALUES,
     REAL_MEMBERSHIP_VALUES,
     SpaceSpec,
+    SparseVector,
     anchored_add,
     compatible,
     decomposition_classes,
@@ -363,3 +364,43 @@ def test_anchored_scalar_matches_vector_reference(case):
             else:
                 assert repr(anchored_add(spec, v, a, b)) == repr(g), (a, b)
     assert in_quasi_kernel(spec, v) == expected
+
+
+# -- vectors as sorted pair tuples --------------------------------------------
+
+VECTOR_LABELS = ("a", "b", "c", "1", "10", "2")
+VECTOR_VALUE_POOLS = (FIELDS[7, 1].elements(), (0.0, -0.0, 1.5, -2.0, 3.25))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sparse_vector_follows_its_pruned_entries(data):
+    pool = data.draw(st.sampled_from(VECTOR_VALUE_POOLS))
+    pair = st.tuples(st.sampled_from(VECTOR_LABELS + (1, 2)), st.sampled_from(pool))
+    first = data.draw(st.lists(pair, max_size=8))
+    second = data.draw(st.one_of(st.permutations(first), st.lists(pair, max_size=8)))
+
+    def pruned(entries):  # the reference: a dict, the last nonzero value wins
+        out = {}
+        for label, value in entries:
+            if value != 0:
+                out[str(label)] = value
+        return out
+
+    u, v = SparseVector(first), SparseVector(second)
+    expected = pruned(first)
+    assert (u == v) == (expected == pruned(second))
+    if u == v:
+        assert hash(u) == hash(v)
+    assert u == SparseVector(expected) and hash(u) == hash(SparseVector(expected))
+    assert list(u) == sorted(expected.items())
+    assert u.entries == expected and u.entries is not u.entries
+    assert u.support == tuple(sorted(expected))
+    assert u.is_zero() == (not expected) and len(u) == len(expected)
+    for label in VECTOR_LABELS:
+        assert u.get(label) == expected.get(label)
+        assert u.get(label, "absent") == expected.get(label, "absent")
+    keep = data.draw(st.sets(st.sampled_from(VECTOR_LABELS)))
+    assert u.restrict(keep).entries == {k: x for k, x in expected.items() if k in keep}
+    inside = ", ".join(f"{k}: {x!r}" for k, x in sorted(expected.items()))
+    assert repr(u) == f"SparseVector({{{inside}}})"
