@@ -82,7 +82,7 @@ def restriction_agrees(alpha, samples: int = 200, seed: int = 0) -> Report:
         lhs = eps.apply(complex(x))
         rhs = complex(phi.apply(x))
         if not COMPLEXES.eq(lhs, rhs):
-            violations.append({"x": x, "complex": [lhs.real, lhs.imag], "real": rhs.real})
+            violations.append({"x": x, "complex": lhs, "real": rhs.real})
     return Report(
         name="restriction_agrees",
         passed=not violations,
@@ -143,30 +143,18 @@ def conj_pair_check(alpha) -> Report:
     mismatch = _additions_agree(eps, paired)
     if mismatch is not None:
         x, y, lhs, rhs = mismatch
-        violations.append(
-            {
-                "law": "paired-additions-agree",
-                "pair": [[x.real, x.imag], [y.real, y.imag]],
-                "lhs": [lhs.real, lhs.imag],
-                "rhs": [rhs.real, rhs.imag],
-            }
-        )
+        violations.append({"law": "paired-additions-agree", "pair": [x, y], "lhs": lhs, "rhs": rhs})
     unpaired_alpha = alpha + 1 if alpha.real != -1 else alpha + 2
     unpaired = ComplexEps(COMPLEXES, unpaired_alpha, False)
     witness = _additions_agree(eps, unpaired)
     if witness is None:
         violations.append({"law": "unpaired-additions-differ", "beta": str(unpaired_alpha)})
-        witness_json = None
     else:
-        x, y, lhs, rhs = witness
-        witness_json = {
-            "beta": [unpaired_alpha.real, unpaired_alpha.imag],
-            "pair": [[x.real, x.imag], [y.real, y.imag]],
-        }
+        witness = {"beta": unpaired_alpha, "pair": list(witness[:2])}
     return Report(
         name="conj_pair",
         passed=not violations,
-        details={"alpha": [alpha.real, alpha.imag], "unpaired_witness": witness_json},
+        details={"alpha": alpha, "unpaired_witness": witness},
         violations=violations,
     )
 

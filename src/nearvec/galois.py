@@ -41,18 +41,7 @@ DEFAULT_MAX_ORDER = 1 << 16
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m >= 2 and prime_factors(m) == [m]
 
 
 def prime_factors(m: int) -> list[int]:

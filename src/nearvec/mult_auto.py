@@ -37,7 +37,7 @@ import random
 
 from .errors import BaseMismatchError, NearVecError, UnsupportedBaseError, charge
 from .nearfield import DEFAULT_BRUTE_BOUND, BaseStructure, is_nearfield_automorphism
-from .report import Report
+from .report import Report, json_value
 
 
 class MultAuto:
@@ -128,9 +128,10 @@ class RealPower(MultAuto):
     def apply(self, x):
         if x == 0:
             return 0.0
-        if x > 0:
-            return x**self.alpha
-        return -((-x) ** self.alpha)
+        try:
+            return x**self.alpha if x > 0 else -((-x) ** self.alpha)
+        except OverflowError:
+            raise NearVecError(f"rpow alpha {self.alpha!r} overflows at {x!r}") from None
 
     def _inverse(self):
         return RealPower(self.base, 1.0 / self.alpha)
@@ -170,7 +171,10 @@ class ComplexEps(MultAuto):
         s = z / r
         if self.conj:
             s = s.conjugate()
-        return cmath.exp(self.alpha * math.log(r)) * s
+        try:
+            return cmath.exp(self.alpha * math.log(r)) * s
+        except OverflowError:
+            raise NearVecError(f"ceps alpha {self.alpha!r} overflows at {z!r}") from None
 
     def _inverse(self):
         a = self.alpha
@@ -182,11 +186,7 @@ class ComplexEps(MultAuto):
         return self.alpha == 1 and not self.conj
 
     def describe(self):
-        return {
-            "kind": "ceps",
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "conj": self.conj,
-        }
+        return {"kind": "ceps", "alpha": json_value(self.alpha), "conj": self.conj}
 
     def _params(self):
         return (self.alpha, self.conj)
@@ -230,8 +230,6 @@ class PermAuto(MultAuto):
         return all(k == v for k, v in self.table.items())
 
     def describe(self):
-        from .serialize import json_value  # serialize imports this module
-
         table = [[x, self.table[x]] for x in self.base.elements()]
         return {"kind": "perm", "table": json_value(table)}
 
@@ -264,8 +262,6 @@ class InnerAuto(MultAuto):
         return all(self.apply(x) == x for x in self.base.elements())
 
     def describe(self):
-        from .serialize import json_value  # serialize imports this module
-
         return {"kind": "inner", "gamma": json_value(self.gamma)}
 
     def _params(self):

@@ -31,6 +31,7 @@ is right distributive.
 import cmath
 import itertools
 import math
+import sys
 
 from .errors import BaseMismatchError, UnsupportedBaseError, charge
 from .galois import GFElement, gf_build, same_addition_exponents
@@ -232,9 +233,9 @@ class FloatField(BaseStructure):
     subclass's fixed ``GRID``."""
 
     def __init__(self, tolerance=DEFAULT_TOLERANCE):
-        if not 0 < tolerance < math.inf:  # nan fails this too
+        if not 0 < tolerance <= sys.float_info.max:  # nan fails this too
             raise BaseMismatchError(f"tolerance must be positive and finite, got {tolerance}")
-        self.tolerance = tolerance
+        self.tolerance = float(tolerance)
         self.zero = self.check(0)
         self.one = self.check(1)
         self.minus_one = self.check(-1)

@@ -61,7 +61,7 @@ from .errors import (
 )
 from .mult_auto import POWER_FAMILIES, InnerAuto, compose, identity_auto, same_addition
 from .nearfield import DEFAULT_BRUTE_BOUND, BaseStructure, distributive_elements, induced_add
-from .report import Report
+from .report import Report, json_value
 
 # deterministic scalar pairs tried by membership tests over the reals and
 # complexes; ordered so (1, 1) is the first witness candidate
@@ -445,8 +445,6 @@ class QKDescription:
         self.allowed = allowed
 
     def to_json(self):
-        from .serialize import json_value  # serialize imports this module
-
         allowed = {}
         for label, vals in self.allowed.items():
             if vals is None:

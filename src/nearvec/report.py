@@ -1,4 +1,27 @@
-"""Structured pass/fail reports returned by the verification operations."""
+"""Structured pass/fail reports returned by the verification operations,
+and ``json_value``, the one encoder of the values they and the outputs
+hold."""
+
+from .galois import GFElement
+
+
+def json_value(obj):
+    """The JSON form of a value held in an output or a report record:
+    finite-base scalars (``GFElement`` codes) become coefficient arrays,
+    complexes [re, im], vectors (tuples with an ``entries`` view) {label:
+    scalar}, and containers are encoded item by item."""
+    if isinstance(obj, GFElement):
+        return list(obj.coeffs)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, tuple):
+        obj = getattr(obj, "entries", obj)
+    if isinstance(obj, dict):
+        return {k: json_value(x) for k, x in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_value(x) for x in obj]
+    return obj
+
 
 class Report:
     """Outcome of a check: overall verdict, counters, and any violations.
@@ -14,8 +37,6 @@ class Report:
         self.violations = [] if violations is None else violations
 
     def to_json(self):
-        from .serialize import json_value  # serialize imports the checks
-
         return {
             "check": self.name,
             "passed": self.passed,

@@ -11,15 +11,16 @@ complexes are [re, im] pairs.  Automorphisms: {"kind": "fpow"|"rpow",
 factors, applied right to left, which is again one of the other kinds.  A
 space file is {"base", "index", "sigma", "rho"}; a vector is {"entries":
 {label: scalar}}; a complexification file is {"T": [...], "S": [...] |
-null, "conj": bool}.  ``json_value`` encodes the same scalar and vector
-forms inside report records.
+null, "conj": bool}.  ``report.json_value`` encodes the same scalar and
+vector forms inside outputs and report records.
 """
 
 import functools
+import sys
 
 from .complexify import ComplexificationSpec
 from .errors import NearVecError, charge
-from .galois import GFElement, _check_order
+from .galois import _check_order
 from .mult_auto import (
     ComplexEps,
     FinitePower,
@@ -38,6 +39,7 @@ from .nearfield import (
     RealField,
 )
 from .nvspace import SparseVector, SpaceSpec
+from .report import json_value
 
 
 def _record(obj, what):
@@ -58,9 +60,17 @@ def _integer(obj, what):
     return obj
 
 
-def _real(obj, what):
+def _number(obj, what):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise NearVecError(f"{what} is not a number: {obj!r}")
+    return obj
+
+
+def _real(obj, what):
+    """A finite float: NaN, the infinities and integers beyond the float
+    range are refused, so no decoded value prints as a non-JSON token."""
+    if not abs(_number(obj, what)) <= sys.float_info.max:  # NaN fails this too
+        raise NearVecError(f"{what} is not a finite number in the float range")
     return float(obj)
 
 
@@ -112,28 +122,10 @@ def base_from_json(obj, tolerance=None, bound=None):
     if kind == "dickson9":
         return Dickson9()
     if kind in ("real", "complex"):
-        if tolerance is None:
-            tolerance = _real(obj.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
+        if tolerance is None:  # the field refuses one not positive and finite
+            tolerance = _number(obj.get("tolerance", DEFAULT_TOLERANCE), "tolerance")
         return (RealField if kind == "real" else ComplexField)(tolerance)
     raise NearVecError(f"unknown base kind {kind!r}")
-
-
-def json_value(obj):
-    """The JSON form of a value held in an output or a report record:
-    finite-base scalars (``GFElement`` codes) become coefficient arrays,
-    complexes [re, im], vectors {label: scalar}, and containers are encoded
-    item by item."""
-    if isinstance(obj, GFElement):
-        return list(obj.coeffs)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, SparseVector):
-        return {k: json_value(x) for k, x in obj}
-    if isinstance(obj, dict):
-        return {k: json_value(x) for k, x in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_value(x) for x in obj]
-    return obj
 
 
 def scalar_from_json(base, obj):

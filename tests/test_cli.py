@@ -276,21 +276,45 @@ def _space_text(base=GF5, sigma=IDENT, rho=IDENT):
     )
 
 
+NOT_FINITE = "error: alpha is not a finite number in the float range\n"
+
+
+def _rpow_text(alpha):
+    """A real space whose sigma exponent is the JSON literal ``alpha``."""
+    rpow = {"kind": "rpow", "alpha": 1.0}
+    return _space_text({"kind": "real"}, {**rpow, "alpha": "A"}, rpow).replace('"A"', alpha)
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, says",
     [
-        '{"base": {"kind": "gf", "p": 5',
-        _space_text(sigma={"kind": "fpow", "alpha": "x"}),
-        _space_text(sigma={"kind": "fpow", "alpha": 1.5}),
-        _space_text(rho=3),
-        _space_text(base={"kind": "gf", "p": "a", "n": 1}),
-        "[1, 2]",
-        _space_text(
-            base={"kind": "complex"},
-            sigma={"kind": "ceps", "alpha": [2, 0], "conj": "yes"},
-            rho={"kind": "ceps", "alpha": [1, 0]},
+        ('{"base": {"kind": "gf", "p": 5', "error:"),
+        (_space_text(sigma={"kind": "fpow", "alpha": "x"}), "error:"),
+        (_space_text(sigma={"kind": "fpow", "alpha": 1.5}), "error:"),
+        (_space_text(rho=3), "error:"),
+        (_space_text(base={"kind": "gf", "p": "a", "n": 1}), "error:"),
+        ("[1, 2]", "error:"),
+        (
+            _space_text(
+                base={"kind": "complex"},
+                sigma={"kind": "ceps", "alpha": [2, 0], "conj": "yes"},
+                rho={"kind": "ceps", "alpha": [1, 0]},
+            ),
+            "error:",
         ),
-        json.dumps(OVERFLOW_SPACE),
+        (json.dumps(OVERFLOW_SPACE), "error: rpow alpha 1e+300 overflows at -10.0\n"),
+        # json reads 1e400 as infinity; a 400-digit integer has no float
+        (_rpow_text("NaN"), NOT_FINITE),
+        (_rpow_text("1e400"), NOT_FINITE),
+        (_rpow_text("7" * 400), NOT_FINITE),
+        (
+            _space_text(
+                base={"kind": "complex"},
+                sigma={"kind": "ceps", "alpha": [1, float("-inf")]},
+                rho={"kind": "ceps", "alpha": [1, 0]},
+            ),
+            NOT_FINITE,
+        ),
     ],
     ids=[
         "truncated",
@@ -301,15 +325,19 @@ def _space_text(base=GF5, sigma=IDENT, rho=IDENT):
         "not-object",
         "conj-text",
         "alpha-overflow",
+        "alpha-nan",
+        "alpha-1e400",
+        "alpha-huge-int",
+        "ceps-alpha-infinite",
     ],
 )
-def test_space_malformed_file(capsys, tmp_path, text):
+def test_space_malformed_file(capsys, tmp_path, text, says):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     code, out, err = run_cli(capsys, "space", str(bad), "qk")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith(says) and err.count("\n") == 1
 
 
 def _drop(obj, *path):
@@ -438,30 +466,32 @@ def test_complexify_zero_exponent(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, says",
     [
-        '{"T": ["x"]}',
-        '{"T": 5}',
-        '{"T": [true]}',
-        '{"T": [1], "S": [null]}',
-        '{"T": [1], "S": 2}',
-        '{"T": [1], "conj": "yes"}',
-        '{"T": [1], "conj": 1}',
-        '[1, 2]',
-        '{"S": [1]}',
-        '{"T": [1e300]}',
-        '{"T": [1e-300]}',
+        ('{"T": ["x"]}', "error:"),
+        ('{"T": 5}', "error:"),
+        ('{"T": [true]}', "error:"),
+        ('{"T": [1], "S": [null]}', "error:"),
+        ('{"T": [1], "S": 2}', "error:"),
+        ('{"T": [1], "conj": "yes"}', "error:"),
+        ('{"T": [1], "conj": 1}', "error:"),
+        ('[1, 2]', "error:"),
+        ('{"S": [1]}', "error:"),
+        ('{"T": [1e300]}', "error: ceps alpha (1e+300+0j) overflows at (-10+0j)\n"),
+        ('{"T": [1e-300]}', "error:"),
+        ('{"T": [Infinity]}', "error: T is not a finite number in the float range\n"),
+        ('{"T": [1], "S": [NaN]}', "error: S is not a finite number in the float range\n"),
     ],
     ids=["T-text", "T-number", "T-bool", "S-null-entry", "S-number", "conj-text", "conj-int", "not-object",
-         "T-missing", "T-overflow", "T-tiny-overflow"],
+         "T-missing", "T-overflow", "T-tiny-overflow", "T-infinity", "S-nan"],
 )
-def test_complexify_malformed(capsys, tmp_path, text):
+def test_complexify_malformed(capsys, tmp_path, text, says):
     cfile = tmp_path / "c.json"
     cfile.write_text(text)
     code, out, err = run_cli(capsys, "complexify", str(cfile))
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith(says) and err.count("\n") == 1
 
 
 def _paths(obj, path=()):
@@ -507,6 +537,10 @@ def _mutants(record):
             yield obj
 
 
+def _refuse(token):
+    raise ValueError(f"stdout carries the non-JSON token {token}")
+
+
 def test_contract_fuzz(capsys):
     for command, record, *rest in FUZZ_RECORDS:
         for obj in _mutants(record):
@@ -516,7 +550,7 @@ def test_contract_fuzz(capsys):
             if code == 2:
                 assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
             else:
-                json.loads(out)
+                json.loads(out, parse_constant=_refuse)
 
 
 def test_check_base(capsys):

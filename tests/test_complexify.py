@@ -1,5 +1,7 @@
 """Real power twists, complex extensions, and the axis quasi-kernel."""
 
+import importlib
+import json
 import math
 import random
 
@@ -116,8 +118,37 @@ def test_conj_pair_check(alpha):
 
 def test_conj_pair_unpaired_disagrees():
     rep = conj_pair_check(2.0)
-    witness = rep.details["unpaired_witness"]
-    assert witness["beta"] == [3.0, 0.0]
+    assert rep.to_json()["details"]["unpaired_witness"]["beta"] == [3.0, 0.0]
+
+
+def test_complex_reports_are_strict_json(monkeypatch):
+    # the reports hold complexes as values; to_json makes them [re, im]
+    # lists, in failing reports too (the package's ``complexify`` attribute
+    # is the function, so the module comes from importlib)
+    cx = importlib.import_module("nearvec.complexify")
+    reports = [restriction_agrees(2.0, samples=20), conj_pair_check(2 + 1j)]
+    monkeypatch.setattr(cx, "real_power_auto", lambda alpha: RealPower(REALS, alpha + 1))
+    monkeypatch.setattr(cx, "_additions_agree", lambda auto1, auto2: (1j, 2 + 0j, 3j, -4j))
+    reports += [restriction_agrees(2.0, samples=20), conj_pair_check(2 + 1j)]
+    agree, pair, bad_agree, bad_pair = (
+        json.loads(json.dumps(rep.to_json(), allow_nan=False)) for rep in reports
+    )
+    assert agree["passed"] and agree["details"]["alpha"] == 2.0
+    assert pair["passed"] and pair["details"]["alpha"] == [2.0, 1.0]
+    assert pair["details"]["unpaired_witness"]["beta"] == [3.0, 1.0]
+    assert [len(z) for z in pair["details"]["unpaired_witness"]["pair"]] == [2, 2]
+    assert not bad_agree["passed"]
+    assert all(len(v["complex"]) == 2 for v in bad_agree["violations"])
+    assert not bad_pair["passed"] and bad_pair["details"]["alpha"] == [2.0, 1.0]
+    assert bad_pair["violations"] == [
+        {
+            "law": "paired-additions-agree",
+            "pair": [[0.0, 1.0], [2.0, 0.0]],
+            "lhs": [0.0, 3.0],
+            "rhs": [0.0, -4.0],
+        }
+    ]
+    assert bad_pair["details"]["unpaired_witness"]["pair"] == [[0.0, 1.0], [2.0, 0.0]]
 
 
 def test_axis_quasi_kernel_reports():

@@ -336,7 +336,7 @@ def test_element_is_its_integer_code():
     assert x.coeffs == (2, 1) and type(x.coeffs) is tuple
     assert repr(x) == str(x) == "GFElement([2, 1])"
     assert x and not t9.zero and t9.zero == 0  # zero is falsy
-    assert json.dumps(x) == "5"  # serialize.json_value gives [2, 1]
+    assert json.dumps(x) == "5"  # report.json_value gives [2, 1]
     assert t9.check(x) is x
     # equal as values, but a plain int is still not a field element
     with pytest.raises(NearVecError):
@@ -432,3 +432,8 @@ def test_same_addition_is_equivalence(p, n):
 
 def test_is_prime():
     assert [x for x in range(2, 20) if is_prime(x)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    sieve = [False, False] + [True] * 999
+    for f in range(2, 32):
+        sieve[f * f :: f] = [False] * len(sieve[f * f :: f])
+    assert [is_prime(m) for m in range(-3, 1001)] == [False] * 3 + sieve
+    assert is_prime(65521) and is_prime(65537) and not is_prime(65535) and not is_prime(251**2)

@@ -45,3 +45,23 @@ def test_bound_refusals_go_through_charge():
         ("errors", "charge"),
         ("galois", "_check_order"),
     ]
+
+
+def _imports_nearvec(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "nearvec"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "nearvec" for alias in node.names)
+    return False
+
+
+def test_no_function_imports_a_nearvec_module():
+    # the import graph is the module-level one; a module needing a function
+    # of a higher layer is a sign the function belongs lower
+    sites = set()
+    for path in pathlib.Path(nearvec.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_imports_nearvec(node) for node in ast.walk(fn)):
+                    sites.add((path.stem, fn.name))
+    assert sorted(sites) == []
