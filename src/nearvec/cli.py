@@ -66,12 +66,19 @@ def _emit(obj):
 
 
 def _load_json_arg(text):
-    """Accept inline JSON or a path to a JSON file."""
+    """Accept inline JSON or a path to a JSON file.  An integer literal past
+    the interpreter's digit limit is refused as bad input."""
     text = text.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if text.startswith("{"):
+            return json.loads(text)
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise NearVecError(f"integer literal of more than {limit} digits") from None
 
 
 def cmd_classify(args):

@@ -44,6 +44,9 @@ class MultAuto:
     """Common behaviour: application, memoized inversion, identity test, and
     equality, hashing and repr from the family's parameters."""
 
+    # True on a map built by ``inverse``: its record is the map in ``_inv``
+    _inverts = False
+
     def __init__(self, base: BaseStructure):
         self.base = base
         self._inv = None
@@ -57,7 +60,7 @@ class MultAuto:
     def inverse(self):
         if self._inv is None:
             inv = self._inverse()
-            inv._inv = self
+            inv._inv, inv._inverts = self, True
             self._inv = inv
         return self._inv
 
@@ -83,6 +86,14 @@ class MultAuto:
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._params()))})"
+
+
+def _overflow(auto, kind, x) -> NearVecError:
+    """The refusal of a power map that overflows at x.  It names the
+    exponent its record gave, so an inverse names the map it inverts."""
+    if auto._inverts:
+        return NearVecError(f"inverse of {kind} alpha {auto._inv.alpha!r} overflows at {x!r}")
+    return NearVecError(f"{kind} alpha {auto.alpha!r} overflows at {x!r}")
 
 
 class FinitePower(MultAuto):
@@ -131,7 +142,7 @@ class RealPower(MultAuto):
         try:
             return x**self.alpha if x > 0 else -((-x) ** self.alpha)
         except OverflowError:
-            raise NearVecError(f"rpow alpha {self.alpha!r} overflows at {x!r}") from None
+            raise _overflow(self, "rpow", x) from None
 
     def _inverse(self):
         return RealPower(self.base, 1.0 / self.alpha)
@@ -174,7 +185,7 @@ class ComplexEps(MultAuto):
         try:
             return cmath.exp(self.alpha * math.log(r)) * s
         except OverflowError:
-            raise NearVecError(f"ceps alpha {self.alpha!r} overflows at {z!r}") from None
+            raise _overflow(self, "ceps", z) from None
 
     def _inverse(self):
         a = self.alpha
@@ -357,8 +368,13 @@ def _cayley_map(base, gens, images):
     return phi
 
 
+# finite base -> its automorphisms, enumerated once per process
+_ENUMERATED = {}
+
+
 def enumerate_mult_autos(base: BaseStructure) -> list:
-    """Every multiplicative automorphism of a finite base.
+    """Every multiplicative automorphism of a finite base, as a fresh list
+    of the maps enumerated at the first call for an equal base.
 
     Galois fields get one power map per unit exponent.  Other finite bases
     pick generators greedily, each the first that most grows the spanned
@@ -367,21 +383,24 @@ def enumerate_mult_autos(base: BaseStructure) -> list:
     """
     if not base.is_finite:
         raise UnsupportedBaseError("only finite bases are enumerable")
+    found = _ENUMERATED.get(base)
+    if found is not None:
+        return list(found)
     if base.kind == "gf":
         m = base.order() - 1
-        return [FinitePower(base, a) for a in range(1, m + 1) if math.gcd(a, m) == 1]
-
-    nonzero = base.nonzero_elements()
-    gens = []
-    while len(_cayley_map(base, gens, gens)) < len(nonzero):
-        gens.append(max(nonzero, key=lambda g: len(_cayley_map(base, [*gens, g], [*gens, g]))))
-
-    found = []
-    for images in itertools.product(nonzero, repeat=len(gens)):
-        phi = _cayley_map(base, gens, images)
-        if phi is not None and len(set(phi.values())) == len(nonzero):
-            found.append(PermAuto(base, {base.zero: base.zero, **phi}))
-    found.sort(key=lambda a: a._signature)
+        found = [FinitePower(base, a) for a in range(1, m + 1) if math.gcd(a, m) == 1]
+    else:
+        nonzero = base.nonzero_elements()
+        gens = []
+        while len(_cayley_map(base, gens, gens)) < len(nonzero):
+            gens.append(max(nonzero, key=lambda g: len(_cayley_map(base, [*gens, g], [*gens, g]))))
+        found = []
+        for images in itertools.product(nonzero, repeat=len(gens)):
+            phi = _cayley_map(base, gens, images)
+            if phi is not None and len(set(phi.values())) == len(nonzero):
+                found.append(PermAuto(base, {base.zero: base.zero, **phi}))
+        found.sort(key=lambda a: a._signature)
+    _ENUMERATED[base] = tuple(found)
     return found
 
 

@@ -309,24 +309,32 @@ def induced_add(base: BaseStructure, sigma, x, y):
     return sigma.inverse().apply(base.add(sigma.apply(x), sigma.apply(y)))
 
 
+# finite base -> its right distributive elements, swept once per process
+_DISTRIBUTIVE = {}
+
+
 def distributive_elements(base: BaseStructure, bound=DEFAULT_BRUTE_BOUND):
     """All g with (a + b) g = a g + b g for every a, b.  Enumerable bases
-    only, and at most ``bound`` triples (g, a, b)."""
+    only, and at most ``bound`` triples (g, a, b), charged on every call
+    although each base is swept once."""
     if not base.is_finite:
         raise UnsupportedBaseError("distributive elements need an enumerable base")
     q = base.order()
     charge(q**3, bound, f"{q}^3 triples")
-    add = base.add
-    els = base.elements()
-    out = []
-    for g in els:
-        if all(
-            add(base.mul(a, g), base.mul(b, g)) == base.mul(add(a, b), g)
-            for a in els
-            for b in els
-        ):
-            out.append(g)
-    return tuple(out)
+    out = _DISTRIBUTIVE.get(base)
+    if out is None:
+        add = base.add
+        els = base.elements()
+        out = _DISTRIBUTIVE[base] = tuple(
+            g
+            for g in els
+            if all(
+                add(base.mul(a, g), base.mul(b, g)) == base.mul(add(a, b), g)
+                for a in els
+                for b in els
+            )
+        )
+    return out
 
 
 def is_nearfield_automorphism(base: BaseStructure, f) -> bool:

@@ -20,8 +20,11 @@ deterministic.  Exhaustive sweeps run over integer-indexed operation
 tables built once per spec; bounds are explicit and exceeding one raises
 instead of truncating.  Membership of a single vector (``in_quasi_kernel``)
 checks the q^2 scalar pairs of that vector alone and needs no bound: each
-pair costs |supp u| scalar operations and builds no vector, because
-``_anchor_scalar`` forms a.u + b.u coordinate by coordinate.
+pair builds no vector, because ``_anchor_scalar`` forms a.u + b.u
+coordinate by coordinate.  Over a finite base it works in the
+sigma-image: the spec keeps, per (label, value) x, the q-entry column
+a -> sigma(rho(a) x) and its inverse, built once from both twists and the
+base product, so a pair then costs |supp u| base additions and lookups.
 
 The brute-force quasi-kernel regroups the definition: the scalar g with
 a.u + b.u = g.u on coordinate i depends only on (i, u_i), so the tables
@@ -45,8 +48,12 @@ column g -> g.x is injective at some label frees every vector holding it
 there, so after d*q^2 column lookups only the vectors built from the other
 values (the zero vector alone in a valid space) take the q-image test.
 Its generation closure adds quasi-kernel vectors through per-vector rows
-of the twisted addition tables, |closed|*|qk| row lookups, and never lists
-the q^d vectors.
+of the twisted addition tables, at most |closed|*|qk| row lookups, stops
+as soon as it holds the whole space, and never lists the q^d vectors.
+
+``_base_tables``, like ``enumerate_mult_autos`` and
+``distributive_elements``, keeps its result per base for the life of the
+process.
 """
 
 import itertools
@@ -170,6 +177,7 @@ class SpaceSpec:
         self.rho = {str(k): v for k, v in rho.items()}
         self._theta = {}
         self._tables = None
+        self._columns = {}
 
     @property
     def dim(self):
@@ -180,6 +188,25 @@ class SpaceSpec:
         if label not in self._theta:
             self._theta[label] = compose(self.sigma[label], self.rho[label])
         return self._theta[label]
+
+    def _column(self, label, x):
+        """(col, back) for the nonzero value x at label over a finite base:
+        col[a] = sigma(rho(a) x) for every element a, and back its inverse
+        permutation, built once per (label, x) from both twists and
+        ``base.mul``.  a.x (+)_sigma b.x = g.x exactly when
+        col[g] = col[a] + col[b], since sigma is a bijection."""
+        got = self._columns.get((label, x))
+        if got is None:
+            base, sig, rho = self.base, self.sigma[label], self.rho[label]
+            els = base.elements()
+            col = [sig.apply(base.mul(rho.apply(a), x)) for a in els]
+            back = [None] * len(els)
+            for a, c in zip(els, col):
+                back[c] = a
+            if None in back:
+                raise NearVecError(f"the twists at {label!r} are not bijections")
+            got = self._columns[(label, x)] = (col, back)
+        return got
 
     def vector(self, entries) -> SparseVector:
         items = entries.items() if isinstance(entries, dict) else entries
@@ -290,14 +317,21 @@ def exponent_space(base, sigma_exponents, rho_exponents=None):
     return SpaceSpec(base, sigma, rho)
 
 
+# finite base -> (elements, add, mul), built once per process
+_BASE_TABLES = {}
+
+
 def _base_tables(base):
     """(elements, add, mul) of a finite base: its elements, each its own
     index, and the tables of its addition and product, built from
-    ``base.add`` and ``base.mul`` alone."""
-    els = base.elements()
-    add = [[base.add(a, b) for b in els] for a in els]
-    mul = [[base.mul(a, b) for b in els] for a in els]
-    return els, add, mul
+    ``base.add`` and ``base.mul`` alone, once per base.  Read-only."""
+    got = _BASE_TABLES.get(base)
+    if got is None:
+        els = base.elements()
+        add = [[base.add(a, b) for b in els] for a in els]
+        mul = [[base.mul(a, b) for b in els] for a in els]
+        got = _BASE_TABLES[base] = els, add, mul
+    return got
 
 
 class _FiniteTables:
@@ -519,10 +553,21 @@ def quasi_kernel_bruteforce(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND):
 
 def _anchor_scalar(spec: SpaceSpec, u: SparseVector, a, b):
     """The scalar g with a.u + b.u = g.u for the nonzero u, or None.  One
-    pass over the sorted support forms w_i = rho_i(a) u_i (+)_sigma_i
-    rho_i(b) u_i, solves g on the first label and checks it on every label."""
+    pass over the sorted support solves g on the first label and checks it
+    on every label.  A finite base works in the sigma-image, through the
+    spec's columns: one base addition per label.  The reals and complexes
+    form w_i = rho_i(a) u_i (+)_sigma_i rho_i(b) u_i."""
     base = spec.base
     gamma = None
+    if base.is_finite:
+        for label, x in u:
+            col, back = spec._column(label, x)
+            w = base.add(col[a], col[b])
+            if gamma is None:
+                gamma = back[w]
+            elif col[gamma] != w:
+                return None
+        return gamma
     for label, x in u:
         rho = spec.rho[label]
         ax, bx = base.mul(rho.apply(a), x), base.mul(rho.apply(b), x)
@@ -701,16 +746,16 @@ def nvs_axiom_check(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND) -> Report:
     space_size = q**tables.d
     qk = tables.quasi_kernel()
     closed = set(qk)
-    frontier = set(qk)
+    frontier = qk
     rounds = 0
     while frontier and len(closed) < space_size:
-        fresh = set()
+        before = set(closed)
         for u in frontier:
             rows_u = list(map(list.__getitem__, tables.add_t, u))
-            fresh.update(tuple(map(list.__getitem__, rows_u, w)) for w in qk)
-        fresh -= closed
-        closed |= fresh
-        frontier = fresh
+            closed.update(tuple(map(list.__getitem__, rows_u, w)) for w in qk)
+            if len(closed) == space_size:
+                break
+        frontier = closed - before
         rounds += 1
     generates = len(closed) == space_size
     if not generates:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,8 @@ def _space_text(base=GF5, sigma=IDENT, rho=IDENT):
 
 
 NOT_FINITE = "error: alpha is not a finite number in the float range\n"
+# json refuses to read an integer past the interpreter's digit limit
+TOO_MANY_DIGITS = f"error: integer literal of more than {sys.get_int_max_str_digits()} digits\n"
 
 
 def _rpow_text(alpha):
@@ -307,6 +310,7 @@ def _rpow_text(alpha):
         (_rpow_text("NaN"), NOT_FINITE),
         (_rpow_text("1e400"), NOT_FINITE),
         (_rpow_text("7" * 400), NOT_FINITE),
+        (_rpow_text("7" * 5000), TOO_MANY_DIGITS),
         (
             _space_text(
                 base={"kind": "complex"},
@@ -328,6 +332,7 @@ def _rpow_text(alpha):
         "alpha-nan",
         "alpha-1e400",
         "alpha-huge-int",
+        "alpha-past-digit-limit",
         "ceps-alpha-infinite",
     ],
 )
@@ -478,12 +483,13 @@ def test_complexify_zero_exponent(capsys, tmp_path):
         ('[1, 2]', "error:"),
         ('{"S": [1]}', "error:"),
         ('{"T": [1e300]}', "error: ceps alpha (1e+300+0j) overflows at (-10+0j)\n"),
-        ('{"T": [1e-300]}', "error:"),
+        ('{"T": [1e-300]}', "error: inverse of ceps alpha (1e-300+0j) overflows at (2+0j)\n"),
         ('{"T": [Infinity]}', "error: T is not a finite number in the float range\n"),
         ('{"T": [1], "S": [NaN]}', "error: S is not a finite number in the float range\n"),
+        ('{"T": [' + "7" * 5000 + "]}", TOO_MANY_DIGITS),
     ],
     ids=["T-text", "T-number", "T-bool", "S-null-entry", "S-number", "conj-text", "conj-int", "not-object",
-         "T-missing", "T-overflow", "T-tiny-overflow", "T-infinity", "S-nan"],
+         "T-missing", "T-overflow", "T-tiny-overflow", "T-infinity", "S-nan", "T-past-digit-limit"],
 )
 def test_complexify_malformed(capsys, tmp_path, text, says):
     cfile = tmp_path / "c.json"

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from nearvec import mult_auto
 from nearvec.errors import BaseMismatchError, NearVecError, UnsupportedBaseError
 from nearvec.mult_auto import (
     ComplexEps,
@@ -238,6 +239,16 @@ def test_enumeration_counts(gf5, gf8, d9_autos):
     assert len({a._signature for a in d9_autos}) == 24
     with pytest.raises(UnsupportedBaseError):
         enumerate_mult_autos(REALS)
+
+
+def test_enumeration_is_kept_per_base(monkeypatch):
+    first = enumerate_mult_autos(Dickson9())
+    first.pop()  # a caller's list is its own
+    kept = enumerate_mult_autos(Dickson9())
+    assert len(kept) == 24 and kept[:-1] == first
+    # the kept maps are those a fresh enumeration of another instance finds
+    monkeypatch.setattr(mult_auto, "_ENUMERATED", {})
+    assert enumerate_mult_autos(Dickson9()) == kept
 
 
 def _order_class_search(base):

@@ -161,6 +161,13 @@ def test_distributive_elements(gf5, d9):
         distributive_elements(REALS)
 
 
+def test_distributive_bound_holds_after_a_kept_sweep(d9):
+    q = d9.order()
+    assert distributive_elements(Dickson9(), bound=q**3) == distributive_elements(d9)
+    with pytest.raises(BoundExceededError):
+        distributive_elements(d9, bound=q**3 - 1)
+
+
 def test_induced_add_examples(gf5):
     s3 = FinitePower(gf5, 3)
     one = gf5.one

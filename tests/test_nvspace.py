@@ -496,6 +496,15 @@ class _Square(MultAuto):
         return self.base.mul(x, x)
 
 
+def test_anchored_scalar_refuses_a_non_bijective_twist():
+    # the columns solve g through an inverse permutation, which x^2 on
+    # GF(5) does not have
+    gf5 = GaloisField(5, 1)
+    spec = SpaceSpec(gf5, {"1": identity_auto(gf5)}, {"1": _Square(gf5)})
+    with pytest.raises(NearVecError, match="not bijections"):
+        in_quasi_kernel(spec, spec.basis_vector("1"))
+
+
 def _axiom_reference(spec):
     """The free-action violations and closure details by the old loops:
     the q images of every nonzero vector, then sums of quasi-kernel

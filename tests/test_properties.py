@@ -5,8 +5,10 @@ and is invariant under scaling either vector, the materialized closed
 form equals the brute-force quasi-kernel over the Galois fields, every
 multiplicativity certificate reproduces the anchored addition it
 certifies, membership and the anchored addition equal their vector-built
-reference, composition, inversion and the JSON forms of automorphisms
-obey their laws, and spaces and vectors survive their JSON forms."""
+reference and the definition searched over every scalar, the generation
+closure equals a full-round closure, composition, inversion and the JSON
+forms of automorphisms obey their laws, and spaces and vectors survive
+their JSON forms."""
 
 import functools
 import itertools
@@ -35,6 +37,7 @@ from nearvec.nvspace import (
     REAL_MEMBERSHIP_VALUES,
     SpaceSpec,
     SparseVector,
+    _anchor_scalar,
     anchored_add,
     compatible,
     decomposition_classes,
@@ -42,6 +45,7 @@ from nearvec.nvspace import (
     in_quasi_kernel,
     is_regular_bruteforce,
     materialize_quasi_kernel,
+    nvs_axiom_check,
     quasi_kernel_bruteforce,
 )
 from nearvec.serialize import auto_from_json, spec_from_json, vector_from_json, vector_to_json
@@ -181,17 +185,17 @@ def test_compatibility_is_ray_invariant(spec, data):
 
 
 @st.composite
-def galois_specs(draw):
-    """A 1-3-label space over GF(4), GF(5), GF(7), GF(8) or GF(9), twisted
-    by every form ``finite_auto`` draws."""
-    base = draw(st.sampled_from(GALOIS_FIELDS))
+def finite_specs(draw, bases):
+    """A 1-3-label space over one of ``bases``, twisted by every form
+    ``finite_auto`` draws."""
+    base = draw(st.sampled_from(bases))
     labels = [str(k) for k in range(1, draw(st.integers(1, 3)) + 1)]
     autos = finite_auto(base)
     return SpaceSpec(base, {k: draw(autos) for k in labels}, {k: draw(autos) for k in labels})
 
 
 @SWEEP_SETTINGS
-@given(galois_specs())
+@given(finite_specs(GALOIS_FIELDS))
 def test_materialized_closed_form_is_bruteforce(spec):
     assert materialize_quasi_kernel(spec) == quasi_kernel_bruteforce(spec)
 
@@ -364,6 +368,71 @@ def test_anchored_scalar_matches_vector_reference(case):
             else:
                 assert repr(anchored_add(spec, v, a, b)) == repr(g), (a, b)
     assert in_quasi_kernel(spec, v) == expected
+
+
+# -- the anchored scalar and the generation closure by definition -------------
+
+# GF(4), GF(5), GF(7), GF(8) and Dickson9
+ANCHOR_BASES = [base for base in ALL_AUTOS if base != FIELDS[3, 2]]
+
+
+@pytest.mark.parametrize("base", ANCHOR_BASES, ids=repr)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_anchored_scalar_is_the_definition(base, data):
+    # g with a.u + b.u = g.u, searched over every g on whole vectors, for a
+    # member, a non-member where the space has one, and any nonzero vector
+    spec = data.draw(finite_specs([base]))
+    els = base.elements()
+    qk = quasi_kernel_bruteforce(spec)
+    nonzero = spec.all_vectors()[1:]
+    outside = [v for v in nonzero if v not in qk]
+    pools = [sorted(qk - {SparseVector()}), outside, nonzero]
+    for u in (data.draw(st.sampled_from(pool)) for pool in pools if pool):
+        multiples = {g: spec.scale(g, u) for g in els}
+        first_failing = None
+        for a in els:
+            for b in els:
+                w = spec.add(multiples[a], multiples[b])
+                fits = [g for g in els if multiples[g] == w]
+                assert len(fits) <= 1
+                assert _anchor_scalar(spec, u, a, b) == (fits[0] if fits else None), (u, a, b)
+                if not fits and first_failing is None:
+                    first_failing = (a, b)
+        expected = (True, None) if first_failing is None else (False, first_failing)
+        assert in_quasi_kernel(spec, u) == expected
+        assert (u in qk) == (first_failing is None)
+
+
+def check_closure_is_full_rounds(spec):
+    """``nvs_axiom_check`` against sums of quasi-kernel vectors added whole
+    round by whole round until the space or a fixed point is reached."""
+    qk = quasi_kernel_bruteforce(spec)
+    size = spec.base.order() ** spec.dim
+    closed, frontier, rounds = set(qk), set(qk), 0
+    while frontier and len(closed) < size:
+        fresh = {spec.add(u, w) for u in frontier for w in qk} - closed
+        closed |= fresh
+        frontier = fresh
+        rounds += 1
+    rep = nvs_axiom_check(spec)
+    assert rep.details == {"space_size": size, "quasi_kernel_size": len(qk), "closure_rounds": rounds}
+    generates = {"axiom": "quasi-kernel-generates", "reached": len(closed)}
+    assert (generates in rep.violations) == (len(closed) < size)
+    return rounds
+
+
+@pytest.mark.parametrize("base", ANCHOR_BASES, ids=repr)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_generation_closure_is_the_full_round_closure(base, data):
+    check_closure_is_full_rounds(data.draw(finite_specs([base])))
+
+
+def test_generation_closure_takes_a_round_per_further_block():
+    # x, x^3 and x^7 induce three additions on GF(11): a vector with three
+    # nonzero coordinates is a sum of three quasi-kernel vectors, no fewer
+    assert check_closure_is_full_rounds(exponent_space(GaloisField(11, 1), [1, 3, 7])) == 2
 
 
 # -- vectors as sorted pair tuples --------------------------------------------

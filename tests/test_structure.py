@@ -1,9 +1,13 @@
 """Source-level rules that keep one policy in one place."""
 
 import ast
+import inspect
 import pathlib
 
 import nearvec
+from nearvec.mult_auto import enumerate_mult_autos
+from nearvec.nearfield import distributive_elements
+from nearvec.nvspace import anchored_add
 
 
 class _RaiseSites(ast.NodeVisitor):
@@ -65,3 +69,10 @@ def test_no_function_imports_a_nearvec_module():
                 if any(_imports_nearvec(node) for node in ast.walk(fn)):
                     sites.add((path.stem, fn.name))
     assert sorted(sites) == []
+
+
+def test_memoized_layers_stay_plain_functions():
+    # bench/tracing.py wraps and counts plain module functions only, so a
+    # per-base memo lives inside the body, never in a functools wrapper
+    for fn in (enumerate_mult_autos, distributive_elements, anchored_add):
+        assert inspect.isfunction(fn) and not hasattr(fn, "__wrapped__"), fn
