@@ -132,12 +132,11 @@ def cmd_space(args):
         _emit(out)
         return 0
     if action == "decompose":
-        blocks = regular_decomposition(spec)
         out = {
             "spec": spec.describe(),
             "same_addition_classes": same_addition_classes(spec).to_json(),
             "decomposition_classes": decomposition_classes(spec).to_json(),
-            "blocks": [sub.describe() for sub, _ in blocks],
+            "blocks": [sub.describe() for sub in regular_decomposition(spec)],
         }
         _emit(out)
         return 0

@@ -29,16 +29,6 @@ from .nvspace import SpaceSpec, _anchor_scalar, exponent_space, in_quasi_kernel
 from .report import Report
 
 
-def real_power_auto(alpha) -> RealPower:
-    """The sign-preserving power map with the given nonzero exponent."""
-    return RealPower(REALS, alpha)
-
-
-def real_power_space(sigma_exponents, rho_exponents=None) -> SpaceSpec:
-    """A real space with power twists, labels "1", "2", ..."""
-    return exponent_space(REALS, sigma_exponents, rho_exponents)
-
-
 class ComplexificationSpec:
     """Exponent data of a real space to extend: sigma exponents T, rho
     exponents S (defaults to all ones), and which of the two extensions to
@@ -58,7 +48,8 @@ class ComplexificationSpec:
 
 
 def complexify(cspec: ComplexificationSpec) -> SpaceSpec:
-    """The complex space whose twists extend the given real power twists."""
+    """The complex space whose twists extend those of the real space
+    ``exponent_space(REALS, T, S)``; label "k" carries T[k-1] and S[k-1]."""
     sigma, rho = {}, {}
     for k, (a, b) in enumerate(zip(cspec.T, cspec.S), start=1):
         label = str(k)
@@ -70,7 +61,7 @@ def complexify(cspec: ComplexificationSpec) -> SpaceSpec:
 def restriction_agrees(alpha, samples: int = 200, seed: int = 0) -> Report:
     """The modulus-power map agrees with the real power map on real inputs."""
     eps = ComplexEps(COMPLEXES, alpha)
-    phi = real_power_auto(alpha)
+    phi = RealPower(REALS, alpha)
     rng = random.Random(seed)
     points = list(RealField.GRID)
     while len(points) < samples:
@@ -95,13 +86,10 @@ def decompose_over_real(z, alpha, conj=False):
     """Coordinates (a, b) of z over the reals inside the extended complex
     structure: z equals a plus (in the induced addition) b times the
     preimage of i.  z = 0 gives (0, 0) by convention."""
-    if alpha == 0:
-        raise NearVecError("exponent must be nonzero")
+    phi_inv = RealPower(REALS, alpha).inverse()  # refuses a zero exponent
     if z == 0:
         return 0.0, 0.0
-    eps = ComplexEps(COMPLEXES, alpha, conj)
-    phi_inv = real_power_auto(alpha).inverse()
-    w = eps.apply(complex(z))
+    w = ComplexEps(COMPLEXES, alpha, conj).apply(complex(z))
     return phi_inv.apply(w.real), phi_inv.apply(w.imag)
 
 
@@ -168,7 +156,7 @@ def axis_quasi_kernel_report(exponents) -> Report:
         raise NearVecError("need at least two exponents")
     if len(set(exponents)) != len(exponents):
         raise NearVecError("exponents must be pairwise distinct")
-    spec = real_power_space(exponents)
+    spec = exponent_space(REALS, exponents)
     violations = []
     axis_checked = 0
     for label in spec.index:

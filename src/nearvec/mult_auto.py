@@ -21,6 +21,8 @@ Composition and inversion stay inside these families, so ``compose``
 returns one of them and never a chain: power exponents merge, complex
 parameters merge through a small closed form, inner twists merge, and any
 other pair over a finite base is materialized as a permutation table.
+A real or complex power map whose exponent or its inverse leaves the float
+range is refused, built or merged, naming the exponents its record gave.
 
 A table is checked in full (a bijection of the base that fixes 0 and 1 and
 respects all q^2 products) when it comes from outside: a direct
@@ -88,12 +90,18 @@ class MultAuto:
         return f"{type(self).__name__}({', '.join(map(repr, self._params()))})"
 
 
-def _overflow(auto, kind, x) -> NearVecError:
-    """The refusal of a power map that overflows at x.  It names the
-    exponent its record gave, so an inverse names the map it inverts."""
+def _named(auto) -> str:
+    """A power map as its record gave it; an inverse names the map it inverts."""
     if auto._inverts:
-        return NearVecError(f"inverse of {kind} alpha {auto._inv.alpha!r} overflows at {x!r}")
-    return NearVecError(f"{kind} alpha {auto.alpha!r} overflows at {x!r}")
+        return f"inverse of {_named(auto._inv)}"
+    return f"{auto.describe()['kind']} alpha {auto.alpha!r}"
+
+
+def _eps_inverse(alpha: complex, conj: bool) -> complex:
+    """The exponent of the inverse of the ``ComplexEps`` map at alpha."""
+    if conj:
+        return (1 + 1j * alpha.imag) / alpha.real
+    return (1 - 1j * alpha.imag) / alpha.real
 
 
 class FinitePower(MultAuto):
@@ -135,6 +143,8 @@ class RealPower(MultAuto):
             raise NearVecError("exponent must be nonzero")
         super().__init__(base)
         self.alpha = float(alpha)
+        if not 0 < abs(1.0 / self.alpha) < math.inf:  # NaN fails this too
+            raise NearVecError(f"rpow alpha {self.alpha!r} has no inverse in the float range")
 
     def apply(self, x):
         if x == 0:
@@ -142,7 +152,7 @@ class RealPower(MultAuto):
         try:
             return x**self.alpha if x > 0 else -((-x) ** self.alpha)
         except OverflowError:
-            raise _overflow(self, "rpow", x) from None
+            raise NearVecError(f"{_named(self)} overflows at {x!r}") from None
 
     def _inverse(self):
         return RealPower(self.base, 1.0 / self.alpha)
@@ -174,6 +184,8 @@ class ComplexEps(MultAuto):
         super().__init__(base)
         self.alpha = alpha
         self.conj = bool(conj)
+        if not (cmath.isfinite(alpha) and cmath.isfinite(_eps_inverse(alpha, self.conj))):
+            raise NearVecError(f"ceps alpha {alpha!r} has no inverse in the float range")
 
     def apply(self, z):
         if z == 0:
@@ -185,13 +197,10 @@ class ComplexEps(MultAuto):
         try:
             return cmath.exp(self.alpha * math.log(r)) * s
         except OverflowError:
-            raise _overflow(self, "ceps", z) from None
+            raise NearVecError(f"{_named(self)} overflows at {z!r}") from None
 
     def _inverse(self):
-        a = self.alpha
-        if self.conj:
-            return ComplexEps(self.base, (1 + 1j * a.imag) / a.real, True)
-        return ComplexEps(self.base, (1 - 1j * a.imag) / a.real, False)
+        return ComplexEps(self.base, _eps_inverse(self.alpha, self.conj), self.conj)
 
     def is_identity(self):
         return self.alpha == 1 and not self.conj
@@ -315,6 +324,17 @@ def as_perm(auto: MultAuto) -> PermAuto:
     return _derived_perm(base, {x: auto.apply(x) for x in base.elements()})
 
 
+def _merged_power(family, outer, inner, *params):
+    """``family(base, *params)`` for the exponent merged from two factors in
+    the float range; a refusal means the merge left it, and names both."""
+    try:
+        return family(outer.base, *params)
+    except NearVecError:
+        raise NearVecError(
+            f"{_named(outer)} composed with {_named(inner)} leaves the float range"
+        ) from None
+
+
 def _merge_pair(outer, inner):
     """The product outer . inner inside the closed families: power
     exponents and inner twists merge, any other pair over a finite base
@@ -324,14 +344,11 @@ def _merge_pair(outer, inner):
     if isinstance(outer, FinitePower) and isinstance(inner, FinitePower):
         return FinitePower(base, outer.alpha * inner.alpha)
     if isinstance(outer, RealPower) and isinstance(inner, RealPower):
-        return RealPower(base, outer.alpha * inner.alpha)
+        return _merged_power(RealPower, outer, inner, outer.alpha * inner.alpha)
     if isinstance(outer, ComplexEps) and isinstance(inner, ComplexEps):
         a, b = outer.alpha, inner.alpha
-        if outer.conj:
-            merged = a * b.real - 1j * b.imag
-        else:
-            merged = a * b.real + 1j * b.imag
-        return ComplexEps(base, merged, outer.conj != inner.conj)
+        merged = a * b.real - 1j * b.imag if outer.conj else a * b.real + 1j * b.imag
+        return _merged_power(ComplexEps, outer, inner, merged, outer.conj != inner.conj)
     if isinstance(outer, InnerAuto) and isinstance(inner, InnerAuto):
         return InnerAuto(base, base.mul(inner.gamma, outer.gamma))
     return _derived_perm(base, {x: outer.apply(inner.apply(x)) for x in base.elements()})
@@ -462,18 +479,3 @@ def same_addition(a: MultAuto, b: MultAuto) -> bool:
     a . b^-1 also preserves the sum."""
     return is_nearfield_automorphism(a.base, compose(a, b.inverse()))
 
-
-__all__ = [
-    "MultAuto",
-    "FinitePower",
-    "RealPower",
-    "ComplexEps",
-    "PermAuto",
-    "InnerAuto",
-    "identity_auto",
-    "as_perm",
-    "compose",
-    "enumerate_mult_autos",
-    "mult_properties_check",
-    "same_addition",
-]

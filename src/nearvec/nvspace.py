@@ -51,6 +51,10 @@ Its generation closure adds quasi-kernel vectors through per-vector rows
 of the twisted addition tables, at most |closed|*|qk| row lookups, stops
 as soon as it holds the whole space, and never lists the q^d vectors.
 
+``regular_decomposition`` gives the spec restricted to each block, with
+the ambient labels; ``coproduct`` gives one label map per factor, to its
+"k."-prefixed labels.  Vectors embed by relabeling, with no map object.
+
 ``_base_tables``, like ``enumerate_mult_autos`` and
 ``distributive_elements``, keeps its result per base for the life of the
 process.
@@ -640,33 +644,9 @@ def compatible(spec: SpaceSpec, u: SparseVector, v: SparseVector, qk=None) -> bo
     )
 
 
-class Injection:
-    """Relabeling embedding of a subspace into an ambient space."""
-
-    def __init__(self, source: SpaceSpec, target: SpaceSpec, label_map: dict):
-        self.source = source
-        self.target = target
-        self.label_map = dict(label_map)
-
-    def apply(self, v: SparseVector) -> SparseVector:
-        return SparseVector([(self.label_map[k], x) for k, x in v])
-
-    def __repr__(self):
-        return f"Injection({self.label_map!r})"
-
-
-def regular_decomposition(spec: SpaceSpec):
-    """One subspace per decomposition block, with its embedding."""
-    out = []
-    for block in decomposition_classes(spec):
-        sub = spec.restrict(block)
-        out.append((sub, Injection(sub, spec, {k: k for k in block})))
-    return out
-
-
-def regular_components(spec: SpaceSpec, v: SparseVector):
-    """Restrictions of v to the decomposition blocks; they sum back to v."""
-    return [v.restrict(block) for block in decomposition_classes(spec)]
+def regular_decomposition(spec: SpaceSpec) -> list:
+    """The spec restricted to each decomposition block, ambient labels kept."""
+    return [spec.restrict(block) for block in decomposition_classes(spec)]
 
 
 def is_regular_bruteforce(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND) -> bool:
@@ -698,8 +678,10 @@ def is_regular_bruteforce(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND) -> bool:
 def coproduct(specs):
     """Finite coproduct: disjoint union of the label sets.
 
-    Labels of the k-th factor get the prefix "k."; the returned injections
-    relocate vectors accordingly.
+    Returns ``(combined, label_maps)``.  Labels of the k-th factor get the
+    prefix "k."; ``label_maps[k]`` sends each of them to its prefixed label,
+    so a vector v of that factor embeds as
+    ``SparseVector([(label_maps[k][i], x) for i, x in v])``.
     """
     specs = list(specs)
     if not specs:
@@ -717,11 +699,7 @@ def coproduct(specs):
             sigma[new] = s.sigma[label]
             rho[new] = s.rho[label]
         label_maps.append(label_map)
-    combined = SpaceSpec(base, sigma, rho)
-    injections = [
-        Injection(s, combined, label_maps[k]) for k, s in enumerate(specs)
-    ]
-    return combined, injections
+    return SpaceSpec(base, sigma, rho), label_maps
 
 
 def nvs_axiom_check(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND) -> Report:

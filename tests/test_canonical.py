@@ -353,6 +353,34 @@ def test_product_hypotheses_fd_shortcut_matches_scan(gf5):
         assert product_hypotheses(base).details["distributive_size"] == base.order()
 
 
+# every prime power up to 32, as (p, n)
+ORDERS_TO_32 = [
+    (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+    (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1), (2, 5),
+]
+
+
+def test_product_hypotheses_recounted_from_definitions(d9):
+    # the report's counts against a recount: the distinct induced-addition
+    # tables over every automorphism, and the right distributive elements
+    # from a direct triple loop
+    for base in [*(GaloisField(p, n) for p, n in ORDERS_TO_32), d9]:
+        els = base.elements()
+        tables = {
+            tuple(induced_add(base, f, x, y) for x in els for y in els)
+            for f in enumerate_mult_autos(base)
+        }
+        add, mul = base.add, base.mul
+        distributive = [
+            g
+            for g in els
+            if all(add(mul(a, g), mul(b, g)) == mul(add(a, b), g) for a in els for b in els)
+        ]
+        details = product_hypotheses(base).details
+        assert details["induced_additions"] == len(tables), base
+        assert details["distributive_size"] == len(distributive), base
+
+
 def test_product_regroup_examples(gf5):
     a = exponent_space(gf5, [1, 3])
     b = exponent_space(gf5, [3])

@@ -288,6 +288,27 @@ def _rpow_text(alpha):
     return _space_text({"kind": "real"}, {**rpow, "alpha": "A"}, rpow).replace('"A"', alpha)
 
 
+def _power_pair_text(kind, alpha, on_both_labels):
+    """A two-label real (``rpow``) or complex (``ceps``) space with the
+    power exponent ``alpha`` as sigma and rho of label 1, or as sigma of
+    both labels; every other twist is the identity."""
+    power = {"kind": kind, "alpha": alpha if kind == "rpow" else [alpha, 0]}
+    ident = {**power, "alpha": 1 if kind == "rpow" else [1, 0]}
+    second = power if on_both_labels else ident
+    return json.dumps(
+        {
+            "base": {"kind": "real" if kind == "rpow" else "complex"},
+            "index": ["1", "2"],
+            "sigma": {"1": power, "2": second},
+            "rho": {"1": ident if on_both_labels else power, "2": ident},
+        }
+    )
+
+
+def _merged_out_of_range(name):
+    return f"error: {name} composed with {name} leaves the float range\n"
+
+
 @pytest.mark.parametrize(
     "text, says",
     [
@@ -319,6 +340,26 @@ def _rpow_text(alpha):
             ),
             NOT_FINITE,
         ),
+        # sigma . rho of label 1 leaves the float range, and so does the
+        # inverse of an exponent below 1/max
+        (_power_pair_text("rpow", 1e200, False), _merged_out_of_range("rpow alpha 1e+200")),
+        (_power_pair_text("rpow", 1e-200, False), _merged_out_of_range("rpow alpha 1e-200")),
+        (
+            _power_pair_text("rpow", 1e-310, True),
+            "error: rpow alpha 1e-310 has no inverse in the float range\n",
+        ),
+        (
+            _power_pair_text("ceps", 1e200, False),
+            _merged_out_of_range("ceps alpha (1e+200+0j)"),
+        ),
+        (
+            _power_pair_text("ceps", 1e-200, False),
+            _merged_out_of_range("ceps alpha (1e-200+0j)"),
+        ),
+        (
+            _power_pair_text("ceps", 1e-310, True),
+            "error: ceps alpha (1e-310+0j) has no inverse in the float range\n",
+        ),
     ],
     ids=[
         "truncated",
@@ -334,6 +375,12 @@ def _rpow_text(alpha):
         "alpha-huge-int",
         "alpha-past-digit-limit",
         "ceps-alpha-infinite",
+        "rpow-merged-overflow",
+        "rpow-merged-underflow",
+        "rpow-inverse-overflow",
+        "ceps-merged-overflow",
+        "ceps-merged-underflow",
+        "ceps-inverse-overflow",
     ],
 )
 def test_space_malformed_file(capsys, tmp_path, text, says):

@@ -1,12 +1,12 @@
 """Real power twists, complex extensions, and the axis quasi-kernel."""
 
-import importlib
 import json
 import math
 import random
 
 import pytest
 
+import nearvec.complexify as cx
 from nearvec.complexify import (
     ComplexificationSpec,
     axis_quasi_kernel_report,
@@ -14,24 +14,23 @@ from nearvec.complexify import (
     conj_pair_check,
     decompose_over_real,
     minimal_poly_residual,
-    real_power_auto,
-    real_power_space,
     reconstruct_from_real,
     restriction_agrees,
 )
 from nearvec.errors import NearVecError
 from nearvec.mult_auto import ComplexEps, RealPower
 from nearvec.nearfield import COMPLEXES, REALS
+from nearvec.nvspace import exponent_space
 from nearvec.serialize import complexification_from_json
 
 
 def test_real_power_auto_examples():
-    phi3 = real_power_auto(3.0)
+    phi3 = RealPower(REALS, 3.0)
     assert phi3.apply(-2.0) == -8.0
-    assert real_power_auto(1.0).is_identity()
-    assert real_power_auto(0.5).apply(9.0) == 3.0
+    assert RealPower(REALS, 1.0).is_identity()
+    assert RealPower(REALS, 0.5).apply(9.0) == 3.0
     with pytest.raises(NearVecError):
-        real_power_auto(0.0)
+        RealPower(REALS, 0.0)
 
 
 def test_complexify_construction():
@@ -123,11 +122,9 @@ def test_conj_pair_unpaired_disagrees():
 
 def test_complex_reports_are_strict_json(monkeypatch):
     # the reports hold complexes as values; to_json makes them [re, im]
-    # lists, in failing reports too (the package's ``complexify`` attribute
-    # is the function, so the module comes from importlib)
-    cx = importlib.import_module("nearvec.complexify")
+    # lists, in failing reports too
     reports = [restriction_agrees(2.0, samples=20), conj_pair_check(2 + 1j)]
-    monkeypatch.setattr(cx, "real_power_auto", lambda alpha: RealPower(REALS, alpha + 1))
+    monkeypatch.setattr(cx, "RealPower", lambda base, alpha: RealPower(base, alpha + 1))
     monkeypatch.setattr(cx, "_additions_agree", lambda auto1, auto2: (1j, 2 + 0j, 3j, -4j))
     reports += [restriction_agrees(2.0, samples=20), conj_pair_check(2 + 1j)]
     agree, pair, bad_agree, bad_pair = (
@@ -182,7 +179,7 @@ def test_axis_witness_gammas():
 
 
 def test_real_power_space_shape():
-    spec = real_power_space([1.0, 2.0], [2.0, 1.0])
+    spec = exponent_space(REALS, [1.0, 2.0], [2.0, 1.0])
     assert spec.base == REALS
     assert isinstance(spec.sigma["1"], RealPower)
     assert spec.rho["1"].alpha == 2.0

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from nearvec import mult_auto
+import nearvec.mult_auto as mult_auto
 from nearvec.errors import BaseMismatchError, NearVecError, UnsupportedBaseError
 from nearvec.mult_auto import (
     ComplexEps,

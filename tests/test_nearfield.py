@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from nearvec import nearfield
+import nearvec.nearfield as nearfield
 from nearvec.errors import BaseMismatchError, BoundExceededError, UnsupportedBaseError
 from nearvec.mult_auto import (
     ComplexEps,

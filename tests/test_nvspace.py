@@ -28,7 +28,6 @@ from nearvec.nvspace import (
     nvs_axiom_check,
     quasi_kernel_bruteforce,
     quasi_kernel_closed,
-    regular_components,
     regular_decomposition,
     same_addition_classes,
 )
@@ -158,7 +157,7 @@ def test_decomposition_real_equal_powers_is_one_block():
     assert in_quasi_kernel(spec, spec.vector({"1": 1.0, "2": 1.0}))[0]
     assert same_addition_classes(spec).blocks == (("1", "2"),)
     assert decomposition_classes(spec).blocks == (("1", "2"),)
-    [(block, _)] = regular_decomposition(spec)
+    [block] = regular_decomposition(spec)
     assert block.index == ("1", "2")
 
 
@@ -408,30 +407,25 @@ def test_is_regular_bound():
 
 def test_regular_decomposition(gf5, spec13):
     blocks = regular_decomposition(spec13)
-    assert [sub.index for sub, _ in blocks] == [("1",), ("2",)]
-    for sub, inj in blocks:
+    assert [sub.index for sub in blocks] == [("1",), ("2",)]
+    for sub in blocks:
         assert is_regular_bruteforce(sub)
-        v = sub.basis_vector(sub.index[0])
-        assert inj.apply(v).support == v.support
+        assert sub.describe() == spec13.restrict(sub.index).describe()
     gf4 = GaloisField(2, 2)
-    one_block = regular_decomposition(exponent_space(gf4, [1, 2]))
-    assert len(one_block) == 1 and one_block[0][0].index == ("1", "2")
-
-
-def test_regular_components(gf5, spec13):
-    v = spec13.vector(
-        {"1": gf5.from_int(2), "2": gf5.from_int(4)}
-    )
-    parts = regular_components(spec13, v)
+    [one_block] = regular_decomposition(exponent_space(gf4, [1, 2]))
+    assert one_block.index == ("1", "2")
+    # a vector's restrictions to the blocks sum back to it
+    v = spec13.vector({"1": gf5.from_int(2), "2": gf5.from_int(4)})
+    parts = [v.restrict(sub.index) for sub in blocks]
     assert [p.support for p in parts] == [("1",), ("2",)]
     acc = spec13.vector({})
     for p in parts:
         acc = spec13.add(acc, p)
     assert acc == v
-    assert all(p.is_zero() for p in regular_components(spec13, spec13.vector({})))
+    assert all(spec13.vector({}).restrict(sub.index).is_zero() for sub in blocks)
     single = exponent_space(gf5, [3])
     w = single.vector({"1": gf5.one})
-    assert regular_components(single, w) == [w]
+    assert [w.restrict(sub.index) for sub in regular_decomposition(single)] == [w]
 
 
 # -- coproduct ----------------------------------------------------------------
@@ -440,16 +434,18 @@ def test_regular_components(gf5, spec13):
 def test_coproduct_examples(gf5):
     a = exponent_space(gf5, [1])
     b = exponent_space(gf5, [3])
-    combined, injections = coproduct([a, b])
+    combined, label_maps = coproduct([a, b])
     assert combined.dim == 2
     assert combined.index == ("0.1", "1.1")
+    assert label_maps == [{"1": "0.1"}, {"1": "1.1"}]
     qk = quasi_kernel_bruteforce(combined)
     assert len(qk) == 9  # two axes again
     assert materialize_quasi_kernel(combined) == qk
 
     empty = SpaceSpec(gf5, {}, {})
-    with_empty, _ = coproduct([a, empty])
+    with_empty, label_maps = coproduct([a, empty])
     assert with_empty.dim == a.dim
+    assert label_maps == [{"1": "0.1"}, {}]
 
     gf7 = GaloisField(7, 1)
     with pytest.raises(BaseMismatchError):
@@ -457,15 +453,17 @@ def test_coproduct_examples(gf5):
 
 
 def test_coproduct_injections_preserve_anchored_addition(gf5):
-    # the embedded copy of a quasi-kernel vector anchors the same addition
+    # relabeled through its factor's label map, a quasi-kernel vector
+    # anchors the same addition
     a = exponent_space(gf5, [3])
     b = exponent_space(gf5, [1, 3])
-    combined, injections = coproduct([a, b])
-    for spec, inj in zip((a, b), injections):
+    combined, label_maps = coproduct([a, b])
+    for spec, label_map in zip((a, b), label_maps):
         for u in materialize_quasi_kernel(spec):
             if u.is_zero():
                 continue
-            image = inj.apply(u)
+            image = SparseVector([(label_map[k], x) for k, x in u])
+            assert image.support == tuple(label_map[k] for k in u.support)
             for x in gf5.elements():
                 for y in gf5.elements():
                     assert anchored_add(spec, u, x, y) == anchored_add(

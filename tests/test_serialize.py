@@ -16,10 +16,10 @@ from nearvec.mult_auto import (
 )
 from nearvec.nearfield import COMPLEXES, REALS, ComplexField, Dickson9, GaloisField, RealField
 from nearvec.nvspace import exponent_space
+from nearvec.report import json_value
 from nearvec.serialize import (
     auto_from_json,
     base_from_json,
-    json_value,
     scalar_from_json,
     spec_from_json,
     vector_from_json,
