@@ -414,7 +414,11 @@ def test_regular_decomposition(gf5, spec13):
     gf4 = GaloisField(2, 2)
     [one_block] = regular_decomposition(exponent_space(gf4, [1, 2]))
     assert one_block.index == ("1", "2")
-    # a vector's restrictions to the blocks sum back to it
+
+
+def test_regular_components(gf5, spec13):
+    # a vector's restrictions to the regular blocks sum back to it
+    blocks = regular_decomposition(spec13)
     v = spec13.vector({"1": gf5.from_int(2), "2": gf5.from_int(4)})
     parts = [v.restrict(sub.index) for sub in blocks]
     assert [p.support for p in parts] == [("1",), ("2",)]
