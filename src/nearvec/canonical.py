@@ -6,14 +6,14 @@ entirely in the action tuple; both normal forms send basis vectors to basis
 vectors.  ``IsoMap`` carries such basis-image maps and ``verify_iso`` checks
 additivity and equivariance, exhaustively where the space is enumerable.
 A basis-aligned map is checked per component: every automorphism the
-check needs is tabulated once per label as an index list (O(d*q) applies)
-and the 2*d*q^2 scalar pairs, refused beyond the bound, are list lookups.
+check needs is read as its ``codes``, the index list each map keeps, and
+the 2*d*q^2 scalar pairs, refused beyond the bound, are list lookups.
 
 ``is_multiplicative`` certifies that the addition anchored at each nonzero
 quasi-kernel vector is induced by some multiplicative automorphism of the
 base, which is the defining property of this whole family of spaces.  Each
-automorphism's key, its q^2 induced sums, costs 2q applies and q^2 lookups
-in the base addition table.
+automorphism's key, its q^2 induced sums, reads the ``codes`` of the map
+and its inverse and costs q^2 lookups in the base addition table.
 
 Finite products exist when the base has only finitely many induced
 additions and is finite dimensional over its right distributive part;
@@ -110,26 +110,20 @@ def _aligned_component_check(m: IsoMap, bound):
     """Per-component exhaustive additivity and equivariance; equivalent to
     the all-pairs check when the map is basis aligned.  Per label,
     g = rho_tgt . rho_src^-1, both sigmas, their inverses and both rhos
-    become index lists, so each pair is a few list lookups."""
+    are read as ``codes``, so each pair is a few list lookups."""
     src, tgt = m.source, m.target
     q = src.base.order()
     charge(2 * src.dim * q**2, bound, f"2*{src.dim}*{q}^2 component pairs")
     els, add, mul = _base_tables(src.base)
-
-    def table(f):
-        return list(map(f, els))
-
     violations = []
     pairs = 0
     for label in src.index:
         image = m.basis_images[label]
         tlabel = next(iter(image))[0]
-        rho_inv, rho_tgt = src.rho[label].inverse(), tgt.rho[tlabel]
-        g = table(lambda x: rho_tgt.apply(rho_inv.apply(x)))
-        sig_src, sig_tgt = src.sigma[label], tgt.sigma[tlabel]
-        ss, ss_inv = table(sig_src.apply), table(sig_src.inverse().apply)
-        ts, ts_inv = table(sig_tgt.apply), table(sig_tgt.inverse().apply)
-        rs, rt = table(src.rho[label].apply), table(rho_tgt.apply)
+        rs, rt = src.rho[label].codes, tgt.rho[tlabel].codes
+        g = tuple(map(rt.__getitem__, src.rho[label].inverse().codes))
+        ss, ss_inv = src.sigma[label].codes, src.sigma[label].inverse().codes
+        ts, ts_inv = tgt.sigma[tlabel].codes, tgt.sigma[tlabel].inverse().codes
         for x in range(q):
             add_x, add_gx = add[ss[x]], add[ts[g[x]]]
             for y in range(q):
@@ -229,11 +223,10 @@ def is_multiplicative(spec: SpaceSpec, bound=DEFAULT_BRUTE_BOUND):
         raise UnsupportedBaseError("certificate search needs a finite base")
     tables = spec._int_tables(bound)
     autos = enumerate_mult_autos(base)
-    els, add = tables.elements, tables.base_add
+    add = tables.base_add
     lookup = {}
     for auto in autos:
-        inv = auto.inverse()
-        f, f_inv = list(map(auto.apply, els)), list(map(inv.apply, els))
+        f, f_inv = auto.codes, auto.inverse().codes
         # key[a*q + b] = f^-1(f(a) + f(b)), as an index
         key = tuple(f_inv[add_fa[fb]] for add_fa in map(add.__getitem__, f) for fb in f)
         lookup.setdefault(key, auto)

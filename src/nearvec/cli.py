@@ -47,7 +47,6 @@ from .nearfield import (
     scalar_group_axiom_check,
 )
 from .nvspace import (
-    decomposition_classes,
     first_representative_classes,
     materialize_quasi_kernel,
     nvs_axiom_check,
@@ -132,12 +131,10 @@ def cmd_space(args):
         _emit(out)
         return 0
     if action == "decompose":
-        out = {
-            "spec": spec.describe(),
-            "same_addition_classes": same_addition_classes(spec).to_json(),
-            "decomposition_classes": decomposition_classes(spec).to_json(),
-            "blocks": [sub.describe() for sub in regular_decomposition(spec)],
-        }
+        out = {"spec": spec.describe(), "same_addition_classes": same_addition_classes(spec).to_json()}
+        subs = regular_decomposition(spec)
+        out["decomposition_classes"] = [list(sub.index) for sub in subs]
+        out["blocks"] = [sub.describe() for sub in subs]
         _emit(out)
         return 0
     if action == "axioms":

@@ -24,12 +24,13 @@ other pair over a finite base is materialized as a permutation table.
 A real or complex power map whose exponent or its inverse leaves the float
 range is refused, built or merged, naming the exponents its record gave.
 
-A table is checked in full (a bijection of the base that fixes 0 and 1 and
-respects all q^2 products) when it comes from outside: a direct
-``PermAuto(...)`` call, a decoded JSON record, or the enumeration.  A table
-derived from automorphisms that already exist (an inverse, a product, the
-materialized form of another family, the identity) is a multiplicative
-bijection by construction and is not checked a second time.
+A finite map's one table is ``codes``, its images of ``base.elements()``,
+kept from the first read; it is all a ``PermAuto`` stores.  A table from
+outside (a ``PermAuto(...)`` call, a JSON record, the enumeration) is
+checked in full: a bijection of the base fixing 0 and 1 and respecting all
+q^2 products.  A table derived from existing automorphisms (an inverse, a
+product, the materialized form of another family, the identity) is a
+multiplicative bijection by construction and is not checked again.
 """
 
 import cmath
@@ -43,11 +44,13 @@ from .report import Report, json_value
 
 
 class MultAuto:
-    """Common behaviour: application, memoized inversion, identity test, and
-    equality, hashing and repr from the family's parameters."""
+    """Common behaviour: application, memoized inversion and table, identity
+    test, and equality, hashing and repr from the family's parameters."""
 
     # True on a map built by ``inverse``: its record is the map in ``_inv``
     _inverts = False
+    _factors = None  # (outer, inner) of a merged power map, for ``_named``
+    _codes = None  # set by ``codes``: a cached_property's __dict__ write slows reads
 
     def __init__(self, base: BaseStructure):
         self.base = base
@@ -58,6 +61,13 @@ class MultAuto:
 
     def _inverse(self):
         raise NotImplementedError
+
+    @property
+    def codes(self) -> tuple:
+        """The images of ``base.elements()`` in element order, over a finite base."""
+        if self._codes is None:
+            self._codes = tuple(map(self.apply, self.base.elements()))
+        return self._codes
 
     def inverse(self):
         if self._inv is None:
@@ -91,10 +101,22 @@ class MultAuto:
 
 
 def _named(auto) -> str:
-    """A power map as its record gave it; an inverse names the map it inverts."""
-    if auto._inverts:
-        return f"inverse of {_named(auto._inv)}"
-    return f"{auto.describe()['kind']} alpha {auto.alpha!r}"
+    """A power map as its record gave it; an inverse names the map it
+    inverts, and a merged map its two factors, in parentheses.  A stack, not
+    recursion: a ``comp`` record may merge any number of factors."""
+    out, todo = [], [auto]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item._inverts:
+            todo += [item._inv, "inverse of "]
+        elif item._factors is not None:
+            outer, inner = item._factors
+            todo += [")", inner, " composed with ", outer, "("]
+        else:
+            out.append(f"{item.describe()['kind']} alpha {item.alpha!r}")
+    return "".join(out)
 
 
 def _eps_inverse(alpha: complex, conj: bool) -> complex:
@@ -213,10 +235,10 @@ class ComplexEps(MultAuto):
 
 
 class PermAuto(MultAuto):
-    """Explicit bijection table on a finite base; validated at construction
-    to fix 0 and 1 and to respect the product, whose q^2 pairs are refused
-    beyond ``bound``.  Tables derived from existing automorphisms are built
-    by ``_derived_perm`` instead."""
+    """Explicit bijection table on a finite base, kept as its ``codes``
+    alone; validated at construction to fix 0 and 1 and to respect the
+    product, whose q^2 pairs are refused beyond ``bound``.  Tables derived
+    from existing automorphisms are built by ``_derived_perm`` instead."""
 
     def __init__(self, base, table, bound=DEFAULT_BRUTE_BOUND):
         if not base.is_finite:
@@ -237,24 +259,29 @@ class PermAuto(MultAuto):
                     raise NearVecError(
                         f"table is not multiplicative at ({x!r}, {y!r})"
                     )
-        self.table = table
-        self._signature = tuple(table[x] for x in els)
+        self._codes = tuple(table[x] for x in els)
+
+    @property
+    def table(self) -> dict:
+        """A fresh {element: image} dict, in element order."""
+        return dict(zip(self.base.elements(), self._codes))
 
     def apply(self, x):
-        return self.table[x]
+        return self._codes[x]
 
     def _inverse(self):
-        return _derived_perm(self.base, {v: k for k, v in self.table.items()})
+        # the elements sorted by their images are the preimages in code order
+        return _derived_perm(self.base, sorted(self.base.elements(), key=self._codes.__getitem__))
 
     def is_identity(self):
-        return all(k == v for k, v in self.table.items())
+        return self._codes == self.base.elements()
 
     def describe(self):
-        table = [[x, self.table[x]] for x in self.base.elements()]
+        table = list(map(list, zip(self.base.elements(), self._codes)))
         return {"kind": "perm", "table": json_value(table)}
 
     def _params(self):
-        return (self._signature,)
+        return (self._codes,)
 
 
 class InnerAuto(MultAuto):
@@ -279,7 +306,7 @@ class InnerAuto(MultAuto):
     def is_identity(self):
         if self.base.commutative:
             return True
-        return all(self.apply(x) == x for x in self.base.elements())
+        return self.codes == self.base.elements()
 
     def describe(self):
         return {"kind": "inner", "gamma": json_value(self.gamma)}
@@ -288,15 +315,14 @@ class InnerAuto(MultAuto):
         return (self.gamma,)
 
 
-def _derived_perm(base, table) -> PermAuto:
-    """A ``PermAuto`` on a table computed from automorphisms that already
-    exist, keyed and valued by the base's own elements: it is a
+def _derived_perm(base, codes) -> PermAuto:
+    """The ``PermAuto`` with the given ``codes``, images of
+    ``base.elements()`` computed from automorphisms that already exist: a
     multiplicative bijection by construction, so the q^2 product check of
     ``PermAuto.__init__`` is skipped."""
     auto = PermAuto.__new__(PermAuto)
     MultAuto.__init__(auto, base)
-    auto.table = table
-    auto._signature = tuple(table[x] for x in base.elements())
+    auto._codes = tuple(codes)
     return auto
 
 
@@ -309,7 +335,7 @@ def identity_auto(base: BaseStructure) -> MultAuto:
     if family is not None:
         return family(base, 1)
     if base.is_finite:
-        return _derived_perm(base, {x: x for x in base.elements()})
+        return _derived_perm(base, base.elements())
     raise UnsupportedBaseError(f"no identity automorphism for {base!r}")
 
 
@@ -321,18 +347,21 @@ def as_perm(auto: MultAuto) -> PermAuto:
         raise UnsupportedBaseError("only finite bases materialize as tables")
     if isinstance(auto, PermAuto):
         return auto
-    return _derived_perm(base, {x: auto.apply(x) for x in base.elements()})
+    return _derived_perm(base, auto.codes)
 
 
 def _merged_power(family, outer, inner, *params):
     """``family(base, *params)`` for the exponent merged from two factors in
-    the float range; a refusal means the merge left it, and names both."""
+    the float range, keeping both for ``_named``; a refusal means the merge
+    left it, and names both."""
     try:
-        return family(outer.base, *params)
+        merged = family(outer.base, *params)
     except NearVecError:
         raise NearVecError(
             f"{_named(outer)} composed with {_named(inner)} leaves the float range"
         ) from None
+    merged._factors = outer, inner
+    return merged
 
 
 def _merge_pair(outer, inner):
@@ -351,7 +380,7 @@ def _merge_pair(outer, inner):
         return _merged_power(ComplexEps, outer, inner, merged, outer.conj != inner.conj)
     if isinstance(outer, InnerAuto) and isinstance(inner, InnerAuto):
         return InnerAuto(base, base.mul(inner.gamma, outer.gamma))
-    return _derived_perm(base, {x: outer.apply(inner.apply(x)) for x in base.elements()})
+    return _derived_perm(base, map(outer.codes.__getitem__, inner.codes))
 
 
 def compose(a: MultAuto, b: MultAuto) -> MultAuto:
@@ -416,7 +445,7 @@ def enumerate_mult_autos(base: BaseStructure) -> list:
             phi = _cayley_map(base, gens, images)
             if phi is not None and len(set(phi.values())) == len(nonzero):
                 found.append(PermAuto(base, {base.zero: base.zero, **phi}))
-        found.sort(key=lambda a: a._signature)
+        found.sort(key=lambda a: a.codes)
     _ENUMERATED[base] = tuple(found)
     return found
 

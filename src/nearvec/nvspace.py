@@ -196,14 +196,14 @@ class SpaceSpec:
     def _column(self, label, x):
         """(col, back) for the nonzero value x at label over a finite base:
         col[a] = sigma(rho(a) x) for every element a, and back its inverse
-        permutation, built once per (label, x) from both twists and
-        ``base.mul``.  a.x (+)_sigma b.x = g.x exactly when
+        permutation, built once per (label, x) from the ``codes`` of both
+        twists and ``base.mul``.  a.x (+)_sigma b.x = g.x exactly when
         col[g] = col[a] + col[b], since sigma is a bijection."""
         got = self._columns.get((label, x))
         if got is None:
-            base, sig, rho = self.base, self.sigma[label], self.rho[label]
+            base, s = self.base, self.sigma[label].codes
             els = base.elements()
-            col = [sig.apply(base.mul(rho.apply(a), x)) for a in els]
+            col = [s[base.mul(ra, x)] for ra in self.rho[label].codes]
             back = [None] * len(els)
             for a, c in zip(els, col):
                 back[c] = a
@@ -366,15 +366,13 @@ class _FiniteTables:
         self.class_of = []
         ids = {}  # tuple of g -> class id, shared by all labels
         for label in self.labels:
-            sig = spec.sigma[label]
-            s = list(map(sig.apply, els))
+            s = spec.sigma[label].codes
             si = [0] * q
             for k, v in enumerate(s):
                 si[v] = k
             add = [[si[base_add[s[a]][s[b]]] for b in range(q)] for a in range(q)]
             self.add_t.append(add)
-            rho = spec.rho[label]
-            r = list(map(rho.apply, els))
+            r = spec.rho[label].codes
             act = [[base_mul[r[g]][x] for x in range(q)] for g in range(q)]
             self.act_t.append(act)
             classes = [0]
@@ -507,9 +505,8 @@ def quasi_kernel_closed(spec: SpaceSpec) -> QKDescription:
     else:
         fd = set(distributive_elements(spec.base))
         for label in spec.index:
-            sig = spec.sigma[label]
             allowed[label] = tuple(
-                k for k in spec.base.elements() if sig.apply(k) in fd
+                k for k, s in zip(spec.base.elements(), spec.sigma[label].codes) if s in fd
             )
     return QKDescription(classes, allowed)
 

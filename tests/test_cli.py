@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from nearvec.cli import build_parser, main
-from nearvec.mult_auto import FinitePower, as_perm
+from nearvec.mult_auto import FinitePower, as_perm, enumerate_mult_autos
 from nearvec.nearfield import Dickson9, GaloisField
 from nearvec.serialize import vector_to_json
 
@@ -224,6 +224,30 @@ def test_space_decompose(capsys, spec_file):
     assert len(data["blocks"]) == 2
 
 
+def test_space_decompose_partitions_once(capsys, monkeypatch):
+    # on a noncommutative base each partition pays the inner-twist search
+    import nearvec.cli
+    import nearvec.nvspace
+
+    real, calls = nearvec.nvspace.decomposition_classes, []
+
+    def counted(spec):
+        calls.append(spec.index)
+        return real(spec)
+
+    for module in (nearvec.cli, nearvec.nvspace):
+        monkeypatch.setattr(module, "decomposition_classes", counted, raising=False)
+    d9 = Dickson9()
+    autos = [as_perm(a).describe() for a in enumerate_mult_autos(d9)[:3]]
+    labels = ["1", "2", "3"]
+    spec = {"base": {"kind": "dickson9"}, "index": labels, "sigma": dict(zip(labels, autos))}
+    spec["rho"] = dict(zip(labels, reversed(autos)))
+    code, out, _ = run_cli(capsys, "space", json.dumps(spec), "decompose")
+    assert code == 0 and calls == [tuple(labels)]
+    data = json.loads(out)
+    assert data["decomposition_classes"] == [block["index"] for block in data["blocks"]]
+
+
 def test_space_multiplicative(capsys, spec_file):
     code, out, _ = run_cli(capsys, "space", spec_file, "multiplicative")
     assert code == 0
@@ -305,6 +329,36 @@ def _power_pair_text(kind, alpha, on_both_labels):
     )
 
 
+def _two_merges_text(kind, first, second):
+    """A two-label real (``rpow``) or complex (``ceps``) space with the
+    power exponent ``first`` as sigma and rho of label 1 and ``second`` as
+    both of label 2."""
+    power = {"kind": kind}
+    one, two = ({**power, "alpha": a if kind == "rpow" else [a, 0]} for a in (first, second))
+    return json.dumps(
+        {
+            "base": {"kind": "real" if kind == "rpow" else "complex"},
+            "index": ["1", "2"],
+            "sigma": {"1": one, "2": two},
+            "rho": {"1": one, "2": two},
+        }
+    )
+
+
+# a comp record of 1,100 factors x^2: the 1,023rd merge reaches x^(2^1024)
+# and is refused, naming the 1,024 factors it merges
+TWO = "rpow alpha 2.0"
+LONG_COMP_TEXT = _space_text(
+    {"kind": "real"},
+    {"kind": "comp", "factors": [{"kind": "rpow", "alpha": 2.0}] * 1100},
+    {"kind": "rpow", "alpha": 1.0},
+)
+LONG_COMP_SAYS = (
+    f"error: {'(' * 1022}{TWO} composed with {TWO}){f' composed with {TWO})' * 1021}"
+    f" composed with {TWO} leaves the float range\n"
+)
+
+
 def _merged_out_of_range(name):
     return f"error: {name} composed with {name} leaves the float range\n"
 
@@ -360,6 +414,20 @@ def _merged_out_of_range(name):
             _power_pair_text("ceps", 1e-310, True),
             "error: ceps alpha (1e-310+0j) has no inverse in the float range\n",
         ),
+        # label 2's merge composed with the inverse of label 1's merge leaves
+        # the float range: each merge is named by its factors
+        (
+            _two_merges_text("rpow", 1e150, 1e-150),
+            "error: (rpow alpha 1e-150 composed with rpow alpha 1e-150) composed with inverse"
+            " of (rpow alpha 1e+150 composed with rpow alpha 1e+150) leaves the float range\n",
+        ),
+        (
+            _two_merges_text("ceps", 1e150, 1e-150),
+            "error: (ceps alpha (1e-150+0j) composed with ceps alpha (1e-150+0j)) composed with"
+            " inverse of (ceps alpha (1e+150+0j) composed with ceps alpha (1e+150+0j)) leaves the"
+            " float range\n",
+        ),
+        (LONG_COMP_TEXT, LONG_COMP_SAYS),
     ],
     ids=[
         "truncated",
@@ -381,6 +449,9 @@ def _merged_out_of_range(name):
         "ceps-merged-overflow",
         "ceps-merged-underflow",
         "ceps-inverse-overflow",
+        "rpow-merges-merged",
+        "ceps-merges-merged",
+        "rpow-comp-of-1100",
     ],
 )
 def test_space_malformed_file(capsys, tmp_path, text, says):

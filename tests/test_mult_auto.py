@@ -171,6 +171,26 @@ def test_derived_tables_pass_the_full_check(request, name):
         assert PermAuto(base, t.table) == t
 
 
+@pytest.mark.parametrize("base", [GaloisField(2, 2), GaloisField(5, 1), Dickson9()], ids=repr)
+def test_codes_are_the_images_of_the_elements(base):
+    # every family's one table, whether built from apply, from the factors'
+    # codes (products, inverses) or given (tables, the identity)
+    els = base.elements()
+    maps = enumerate_mult_autos(base) + [InnerAuto(base, g) for g in base.nonzero_elements()]
+    tables = [as_perm(a) for a in maps]
+    pairs = list(itertools.product(maps, tables))
+    composed = [compose(a, b) for a, b in pairs]
+    inverses = [a.inverse() for a in maps + tables]
+    for auto in [*maps, *tables, *composed, *inverses, identity_auto(base)]:
+        assert auto.codes == tuple(auto.apply(x) for x in els), auto
+        t = as_perm(auto)
+        assert t.codes == auto.codes and PermAuto(base, t.table) == t
+    for (a, b), c in zip(pairs, composed):
+        assert c.codes == tuple(a.apply(b.apply(x)) for x in els)
+    for a, inv in zip(maps + tables, inverses):
+        assert [inv.codes[y] for y in a.codes] == list(els)
+
+
 def test_decoded_tables_keep_the_full_check(d9):
     bad = {x: x for x in d9.elements()}
     a, b = d9.from_int(2), d9.from_int(3)
@@ -236,7 +256,7 @@ def test_enumeration_counts(gf5, gf8, d9_autos):
     assert len(enumerate_mult_autos(GaloisField(2, 2))) == 2
     assert len(enumerate_mult_autos(gf8)) == 6
     assert len(d9_autos) == 24
-    assert len({a._signature for a in d9_autos}) == 24
+    assert len({a.codes for a in d9_autos}) == 24
     with pytest.raises(UnsupportedBaseError):
         enumerate_mult_autos(REALS)
 
@@ -309,7 +329,7 @@ def test_enumeration_matches_order_class_search(maker):
     base = maker()
     expected = _order_class_search(base)
     assert len(expected) == {Dickson9: 24, _GroupZ2xZ4: 8}[maker]
-    assert [a._signature for a in enumerate_mult_autos(base)] == expected
+    assert [a.codes for a in enumerate_mult_autos(base)] == expected
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3)])
@@ -324,7 +344,7 @@ def test_field_enumerated_as_group_gives_power_maps(p, n):
         if math.gcd(a, m) == 1
     }
     assert len(autos) == len(powers)
-    assert {a._signature for a in autos} == powers
+    assert {a.codes for a in autos} == powers
 
 
 def test_enumerated_autos_satisfy_properties(gf8, d9_autos):

@@ -7,19 +7,22 @@ multiplicativity certificate reproduces the anchored addition it
 certifies, membership and the anchored addition equal their vector-built
 reference and the definition searched over every scalar, the generation
 closure equals a full-round closure, composition, inversion and the JSON
-forms of automorphisms obey their laws, and spaces and vectors survive
-their JSON forms."""
+forms of automorphisms obey their laws, spaces and vectors survive their
+JSON forms, the decomposition and the qk classes follow label
+permutations, restrictions, coproducts and twists by automorphisms, and
+both normal forms of Dickson9 spaces verify exhaustively."""
 
 import functools
 import itertools
 import json
+import random
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nearvec.canonical import is_multiplicative
+from nearvec.canonical import is_multiplicative, normal_form_rho, normal_form_sigma, verify_iso
 from nearvec.errors import InvalidAnchorError
 from nearvec.mult_auto import (
     ComplexEps,
@@ -31,15 +34,24 @@ from nearvec.mult_auto import (
     enumerate_mult_autos,
     identity_auto,
 )
-from nearvec.nearfield import COMPLEXES, REALS, Dickson9, GaloisField, induced_add
+from nearvec.nearfield import (
+    COMPLEXES,
+    REALS,
+    Dickson9,
+    GaloisField,
+    induced_add,
+    is_nearfield_automorphism,
+)
 from nearvec.nvspace import (
     COMPLEX_MEMBERSHIP_VALUES,
     REAL_MEMBERSHIP_VALUES,
+    Partition,
     SpaceSpec,
     SparseVector,
     _anchor_scalar,
     anchored_add,
     compatible,
+    coproduct,
     decomposition_classes,
     exponent_space,
     in_quasi_kernel,
@@ -47,6 +59,7 @@ from nearvec.nvspace import (
     materialize_quasi_kernel,
     nvs_axiom_check,
     quasi_kernel_bruteforce,
+    quasi_kernel_closed,
 )
 from nearvec.serialize import auto_from_json, spec_from_json, vector_from_json, vector_to_json
 
@@ -433,6 +446,112 @@ def test_generation_closure_takes_a_round_per_further_block():
     # x, x^3 and x^7 induce three additions on GF(11): a vector with three
     # nonzero coordinates is a sum of three quasi-kernel vectors, no fewer
     assert check_closure_is_full_rounds(exponent_space(GaloisField(11, 1), [1, 3, 7])) == 2
+
+
+# -- relations between closed forms --------------------------------------------
+
+GF65536 = GaloisField(2, 16)
+UNITS_65535 = [a for a in range(1, 65535) if gcd(a, 65535) == 1]
+D9_ADDITIVE = [a for a in LISTED[D9] if is_nearfield_automorphism(D9, a)]
+
+
+def wide_gf_spec(rng):
+    """A 60-label space over GF(2^16) whose combined twists x^(s r) fall in
+    two to four addition classes: s r is a drawn class exponent times a
+    power of 2, with rho = x^r for a drawn unit r."""
+    classes = rng.sample(UNITS_65535, rng.randint(2, 4))
+    sigma, rho = {}, {}
+    for k in map(str, range(1, 61)):
+        theta, r = rng.choice(classes) * 2 ** rng.randrange(16), rng.choice(UNITS_65535)
+        sigma[k], rho[k] = FinitePower(GF65536, theta * pow(r, -1, 65535)), FinitePower(GF65536, r)
+    return SpaceSpec(GF65536, sigma, rho)
+
+
+def drawn_d9_auto(rng):
+    """A Dickson9 automorphism as a table, an inner twist, or an inner
+    twist composed with a table."""
+    form = rng.choice(("perm", "inner", "comp"))
+    inner = InnerAuto(D9, rng.choice(D9.nonzero_elements()))
+    if form == "inner":
+        return inner
+    table = rng.choice(LISTED[D9])
+    return table if form == "perm" else compose(inner, table)
+
+
+def seeded_dickson_specs(seed, count=30):
+    """``count`` Dickson9 spaces of 1, 2 and 3 labels in turn."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        labels = [str(k) for k in range(1, i % 3 + 2)]
+        sigma = {k: drawn_d9_auto(rng) for k in labels}
+        specs.append(SpaceSpec(D9, sigma, {k: drawn_d9_auto(rng) for k in labels}))
+    return specs
+
+
+def _partitions(spec):
+    return decomposition_classes(spec), quasi_kernel_closed(spec).classes
+
+
+def _cut(partition, labels):
+    """The nonempty blocks of the partition, each cut to the labels."""
+    return Partition(b for b in ([k for k in block if k in labels] for block in partition) if b)
+
+
+def _relabel(partition, names):
+    return Partition([names[k] for k in block] for block in partition)
+
+
+def check_closed_form_relations(spec, other, f, g, rng):
+    """The decomposition and the qk classes follow a label permutation, a
+    restriction and a coproduct, and stay under sigma_i -> f.sigma_i and
+    rho_i -> rho_i.g for the near-field automorphism f."""
+    labels = spec.index
+    want = _partitions(spec)
+    names = dict(zip(labels, rng.sample(labels, len(labels))))
+    moved = SpaceSpec(
+        spec.base,
+        {names[k]: spec.sigma[k] for k in labels},
+        {names[k]: spec.rho[k] for k in labels},
+    )
+    assert _partitions(moved) == tuple(_relabel(p, names) for p in want)
+    keep = rng.sample(labels, rng.randint(1, len(labels)))
+    assert _partitions(spec.restrict(keep)) == tuple(_cut(p, keep) for p in want)
+    combined, (inside, _) = coproduct([spec, other])
+    cut = tuple(_cut(p, set(inside.values())) for p in _partitions(combined))
+    assert cut == tuple(_relabel(p, inside) for p in want)
+    twisted = SpaceSpec(
+        spec.base,
+        {k: compose(f, spec.sigma[k]) for k in labels},
+        {k: compose(spec.rho[k], g) for k in labels},
+    )
+    assert _partitions(twisted) == want
+
+
+def test_wide_galois_closed_forms_obey_their_relations():
+    rng = random.Random(17)
+    specs = [wide_gf_spec(rng) for _ in range(3)]
+    for spec, other in zip(specs, specs[1:] + specs[:1]):
+        frobenius = FinitePower(GF65536, 2 ** rng.randrange(16))
+        g = FinitePower(GF65536, rng.choice(UNITS_65535))
+        check_closed_form_relations(spec, other, frobenius, g, rng)
+
+
+def test_dickson_closed_forms_obey_their_relations():
+    rng = random.Random(23)
+    specs = seeded_dickson_specs(23)
+    for spec, other in zip(specs, specs[1:] + specs[:1]):
+        f, g = rng.choice(D9_ADDITIVE), drawn_d9_auto(rng)
+        check_closed_form_relations(spec, other, f, g, rng)
+
+
+def test_dickson_normal_forms_verify_exhaustively():
+    for spec in seeded_dickson_specs(29):
+        for normal_form in (normal_form_sigma, normal_form_rho):
+            target, iso = normal_form(spec)
+            report = verify_iso(iso)
+            assert report.passed and report.details["mode"] == "exhaustive-by-component", spec.describe()
+            assert all(target.theta(k) == spec.theta(k) for k in spec.index)
 
 
 # -- vectors as sorted pair tuples --------------------------------------------

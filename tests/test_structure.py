@@ -131,3 +131,74 @@ def test_every_public_name_is_reached():
             elif isinstance(node, ast.alias):
                 reached.add(node.name)
     assert sorted(public - reached) == sorted(UNREACHED_BY_DESIGN)
+
+
+# the one function that turns a finite map into an index list
+CODES = ("mult_auto", "MultAuto.codes")
+# the others that take an ``apply`` as a value, each for the reason given
+APPLY_AS_VALUE = {
+    ("mult_auto", "mult_properties_check"): "f = auto.apply: it checks apply itself",
+    ("canonical", "_vector_law_check"): "functools.cache(m.apply) memoizes an IsoMap, not an automorphism",
+}
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def _is_elements(node):
+    """``x.elements()``, ``x.nonzero_elements()`` or ``x.elements``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return isinstance(node, ast.Attribute) and node.attr in ("elements", "nonzero_elements")
+
+
+class _TabulatingSites(ast.NodeVisitor):
+    """The qualified name of every function that passes an ``apply`` as a
+    value, or applies a map in a comprehension over a base's elements
+    (read directly or through a name bound to them in the function)."""
+
+    def __init__(self):
+        self.scope = []
+        self.sites = set()
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        body = list(ast.walk(node))
+        called = {id(n.func) for n in body if isinstance(n, ast.Call)}
+        element_names = {
+            t.id
+            for n in body
+            if isinstance(n, ast.Assign) and _is_elements(n.value)
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+
+        def over_elements(gen):
+            it = gen.iter
+            return _is_elements(it) or (isinstance(it, ast.Name) and it.id in element_names)
+
+        for n in body:
+            if isinstance(n, ast.Attribute) and n.attr == "apply" and id(n) not in called:
+                self.sites.add(".".join(self.scope))
+            if isinstance(n, COMPREHENSIONS) and any(map(over_elements, n.generators)):
+                if any(isinstance(c, ast.Attribute) and c.attr == "apply" for c in ast.walk(n)):
+                    self.sites.add(".".join(self.scope))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+def test_finite_maps_are_tabulated_by_codes():
+    sites = set()
+    for path in PACKAGE.glob("*.py"):
+        visitor = _TabulatingSites()
+        visitor.visit(_tree(path))
+        sites.update((path.stem, name) for name in visitor.sites)
+    # every other sweep over a finite map reads its codes
+    assert sorted(sites) == sorted([CODES, *APPLY_AS_VALUE])
