@@ -25,7 +25,11 @@ A real or complex power map whose exponent or its inverse leaves the float
 range is refused, built or merged, naming the exponents its record gave.
 
 A finite map's one table is ``codes``, its images of ``base.elements()``,
-kept from the first read; it is all a ``PermAuto`` stores.  A table from
+kept from the first read; it is all a ``PermAuto`` stores.  Its
+``zech_form`` is what ``induced_add`` reads: a power map's is the field's
+own log and antilog tables with its exponent and the inverse exponent, and
+any other map's the two q-entry arrays ``GaloisField.zech_tables`` makes
+of its ``codes``, kept from the first read like them.  A table from
 outside (a ``PermAuto(...)`` call, a JSON record, the enumeration) is
 checked in full: a bijection of the base fixing 0 and 1 and respecting all
 q^2 products.  A table derived from existing automorphisms (an inverse, a
@@ -44,17 +48,21 @@ from .report import Report, json_value
 
 
 class MultAuto:
-    """Common behaviour: application, memoized inversion and table, identity
-    test, and equality, hashing and repr from the family's parameters."""
+    """Common behaviour: application, memoized inversion and tables,
+    identity test, and equality, hashing and repr from the family's
+    parameters."""
 
-    # True on a map built by ``inverse``: its record is the map in ``_inv``
-    _inverts = False
+    # set on a map built by ``inverse``: a copy of the map it inverts, its
+    # record for ``_named`` and its own inverse.  The map keeps its inverse
+    # and the copy keeps no link back, so reference counting frees the pair
+    _inverts = None
+    _inv = None  # the map ``inverse`` built
     _factors = None  # (outer, inner) of a merged power map, for ``_named``
     _codes = None  # set by ``codes``: a cached_property's __dict__ write slows reads
+    _zech_form = None  # set by ``zech_form``, like ``_codes``; read first by ``induced_add``
 
     def __init__(self, base: BaseStructure):
         self.base = base
-        self._inv = None
 
     def apply(self, x):
         raise NotImplementedError
@@ -69,10 +77,24 @@ class MultAuto:
             self._codes = tuple(map(self.apply, self.base.elements()))
         return self._codes
 
+    @property
+    def zech_form(self) -> tuple:
+        """(L, E, alpha, beta) over a finite base, with which ``induced_add``
+        reads x (+) y as E[(L[x] + beta * zech[alpha * (L[y] - L[x])]) mod m]:
+        a power map's own, set at construction, and otherwise the
+        ``zech_tables`` of ``codes`` with alpha = beta = 1."""
+        if self._zech_form is None:
+            self._zech_form = (*self.base.zech_tables(self.codes), 1, 1)
+        return self._zech_form
+
     def inverse(self):
+        if self._inverts is not None:
+            return self._inverts
         if self._inv is None:
             inv = self._inverse()
-            inv._inv, inv._inverts = self, True
+            # the copy is taken before ``_inv`` is set, so it has none
+            inv._inverts = object.__new__(type(self))
+            inv._inverts.__dict__.update(self.__dict__)
             self._inv = inv
         return self._inv
 
@@ -109,8 +131,8 @@ def _named(auto) -> str:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
-        elif item._inverts:
-            todo += [item._inv, "inverse of "]
+        elif item._inverts is not None:
+            todo += [item._inverts, "inverse of "]
         elif item._factors is not None:
             outer, inner = item._factors
             todo += [")", inner, " composed with ", outer, "("]
@@ -136,14 +158,19 @@ class FinitePower(MultAuto):
         m = base.order() - 1
         # the residue in [1, m]: on GF(2), m = 1 and every exponent is 1
         self.alpha = alpha % m or m
-        if math.gcd(self.alpha, m) != 1:
-            raise NearVecError(f"exponent {alpha} is not a unit mod {m}")
+        try:
+            beta = pow(self.alpha, -1, m)
+        except ValueError:
+            raise NearVecError(f"exponent {alpha} is not a unit mod {m}") from None
+        # the field's log and antilog tables with alpha and its inverse mod
+        # m: no table of its own, whatever the field's order
+        self._zech_form = base.log, base.antilog, self.alpha, beta
 
     def apply(self, x):
         return self.base.pow(x, self.alpha)
 
     def _inverse(self):
-        return FinitePower(self.base, pow(self.alpha, -1, self.base.order() - 1))
+        return FinitePower(self.base, self._zech_form[3])  # beta
 
     def is_identity(self):
         return self.alpha == 1

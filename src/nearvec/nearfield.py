@@ -13,7 +13,11 @@ instead of enumeration.
 Every multiplicative automorphism sigma of a base induces a second abelian
 addition  x (+)_sigma y = sigma^-1(sigma(x) + sigma(y))  which again makes
 the base a near-field with the same multiplication.  ``induced_add``
-evaluates it; the verification helpers below check the algebraic laws the
+evaluates it; over a finite base it is one Zech step in the logs of sigma,
+with no per-pair call of sigma or of the base: x -> x^alpha scales the
+field's own log and antilog tables by alpha and alpha^-1 and builds
+nothing, and any other map reads the two q-entry arrays of its
+``zech_form``.  The verification helpers below check the algebraic laws the
 rest of the package leans on.  Whether sigma preserves the sum takes one
 exponent test on a Galois field, whose unit group is cyclic, every pair on
 Dickson9, and the sample grid on the reals and complexes.  Every sweep
@@ -98,17 +102,21 @@ class BaseStructure:
 
 class GaloisField(BaseStructure):
     """GF(p^n) on the tables of ``gf_build``: an element is a ``GFElement``,
-    the integer code that indexes ``elements()``, and sums, negations,
-    products, inverses and powers index the log array and the antilog and
-    Zech tables.  Zero is the code 0.  Immutable; every method is a pure
-    function of its arguments."""
+    the integer code that indexes ``elements()``.  Over the generator g and
+    m = p^n - 1, ``log[x]`` is the exponent of x in [0, m) (-1 at zero),
+    ``antilog[k]`` the element g^k, and ``zech[k]`` the exponent of 1 + g^k
+    (-1 where that sum is zero), so g^a + g^b = g^(a + zech[b - a]).
+    Sums, negations, products, inverses and powers index these tables, and
+    so do ``induced_add`` and the anchored scalar of ``nvspace``, which
+    read them directly.  Zero is the code 0.  Immutable; every method is a
+    pure function of its arguments."""
 
     kind = "gf"
     is_finite = True
 
     def __init__(self, p, n):
         tables = gf_build(p, n)
-        self.modulus, self._elements, self.generator, self.log, self.antilog, self._zech = tables
+        self.modulus, self._elements, self.generator, self.log, self.antilog, self.zech = tables
         self.p = p
         self.n = n
         self._units = len(self._elements) - 1
@@ -117,6 +125,7 @@ class GaloisField(BaseStructure):
         self.zero = self._elements[0]
         self.one = self._elements[1]
         self.minus_one = self.neg(self.one)
+        self._element_type = type(self.zero)
 
     # -- element plumbing --
 
@@ -128,8 +137,11 @@ class GaloisField(BaseStructure):
 
     def check(self, x) -> GFElement:
         """The field's own element with the code of x, which must be an
-        element of a field of the same p and n; plain ints are refused."""
-        if isinstance(x, GFElement) and (x.p, x.n) == (self.p, self.n):
+        element of a field of the same p and n with a code in [0, p^n);
+        plain ints are refused."""
+        if type(x) is self._element_type and 0 <= x <= self._units:
+            return x
+        if isinstance(x, GFElement) and (x.p, x.n) == (self.p, self.n) and 0 <= x <= self._units:
             return self._elements[x]
         raise BaseMismatchError(f"{x!r} is not an element of {self}")
 
@@ -144,6 +156,18 @@ class GaloisField(BaseStructure):
     def elements(self):
         return self._elements
 
+    def zech_tables(self, images):
+        """(L, E) of the bijection with the given images of ``elements()``:
+        L[x] = log of the image of x (-1 where it is zero) and E[k] the x
+        whose image is g^k (None where there is none)."""
+        log = self.log
+        L = [log[y] for y in images]
+        E = [None] * self._units
+        for x, k in zip(self._elements, L):
+            if k >= 0:
+                E[k] = x
+        return L, E
+
     # -- arithmetic --
 
     def add(self, x, y):
@@ -153,7 +177,7 @@ class GaloisField(BaseStructure):
         if not y:
             return x
         lx = self.log[x]
-        z = self._zech[(self.log[y] - lx) % self._units]
+        z = self.zech[(self.log[y] - lx) % self._units]
         return self.zero if z < 0 else self.antilog[(lx + z) % self._units]
 
     def neg(self, x):
@@ -305,8 +329,24 @@ COMPLEXES = ComplexField()
 
 
 def induced_add(base: BaseStructure, sigma, x, y):
-    """x (+)_sigma y = sigma^-1(sigma(x) + sigma(y))."""
-    return sigma.inverse().apply(base.add(sigma.apply(x), sigma.apply(y)))
+    """x (+)_sigma y = sigma^-1(sigma(x) + sigma(y)).
+
+    Over a finite base, sigma's ``zech_form`` (L, E, alpha, beta) gives
+    the sum as E[(L[x] + beta * zech[alpha * (L[y] - L[x])]) mod m], m =
+    q - 1, zero where the Zech entry is -1: sigma sends 0 to 0, so a zero
+    summand returns the other."""
+    if not base.is_finite:
+        return sigma.inverse().apply(base.add(sigma.apply(x), sigma.apply(y)))
+    if not x:
+        return y
+    if not y:
+        return x
+    # the kept form first: a property call costs as much as the step
+    L, E, alpha, beta = sigma._zech_form or sigma.zech_form
+    m = base._units
+    lx = L[x]
+    z = base.zech[alpha * (L[y] - lx) % m]
+    return base.zero if z < 0 else E[(lx + beta * z) % m]
 
 
 # finite base -> its right distributive elements, swept once per process

@@ -22,9 +22,11 @@ instead of truncating.  Membership of a single vector (``in_quasi_kernel``)
 checks the q^2 scalar pairs of that vector alone and needs no bound: each
 pair builds no vector, because ``_anchor_scalar`` forms a.u + b.u
 coordinate by coordinate.  Over a finite base it works in the
-sigma-image: the spec keeps, per (label, value) x, the q-entry column
-a -> sigma(rho(a) x) and its inverse, built once from both twists and the
-base product, so a pair then costs |supp u| base additions and lookups.
+sigma-image: the spec keeps, per (label, value) x, the ``zech_tables`` of
+the column c(a) = sigma(rho(a) x), built once from both twists and the
+base product, and per anchor the tuple of its columns.  a.x (+)_sigma b.x
+= g.x exactly when g = c^-1(c(a) + c(b)), so a pair then costs one Zech
+step per support label and no call of a map or of the base.
 
 The brute-force quasi-kernel regroups the definition: the scalar g with
 a.u + b.u = g.u on coordinate i depends only on (i, u_i), so the tables
@@ -182,6 +184,8 @@ class SpaceSpec:
         self._theta = {}
         self._tables = None
         self._columns = {}
+        self._anchors = {}
+        self._last_anchor = None, ()
 
     @property
     def dim(self):
@@ -194,22 +198,29 @@ class SpaceSpec:
         return self._theta[label]
 
     def _column(self, label, x):
-        """(col, back) for the nonzero value x at label over a finite base:
-        col[a] = sigma(rho(a) x) for every element a, and back its inverse
-        permutation, built once per (label, x) from the ``codes`` of both
-        twists and ``base.mul``.  a.x (+)_sigma b.x = g.x exactly when
-        col[g] = col[a] + col[b], since sigma is a bijection."""
+        """(L, E) for the nonzero value x at label over a finite base: the
+        ``zech_tables`` of c(a) = sigma(rho(a) x), built once per (label, x)
+        from the ``codes`` of both twists and ``base.mul``, with E written
+        twice so that E[k] = c^-1(g^(k mod m)) for k < 2m.  Refused unless c
+        is a bijection fixing 0, as every pair of automorphisms makes it."""
         got = self._columns.get((label, x))
         if got is None:
             base, s = self.base, self.sigma[label].codes
-            els = base.elements()
-            col = [s[base.mul(ra, x)] for ra in self.rho[label].codes]
-            back = [None] * len(els)
-            for a, c in zip(els, col):
-                back[c] = a
-            if None in back:
+            L, E = base.zech_tables([s[base.mul(ra, x)] for ra in self.rho[label].codes])
+            if L[0] >= 0 or None in E:
                 raise NearVecError(f"the twists at {label!r} are not bijections")
-            got = self._columns[(label, x)] = (col, back)
+            got = self._columns[(label, x)] = L, E * 2
+        return got
+
+    def _anchor(self, u):
+        """The columns of the nonzero u over a finite base, one per support
+        label in label order, kept per anchor.  The last anchor asked for is
+        also kept with its columns, so the q^2 pairs of one vector find
+        them by identity, without hashing the vector."""
+        got = self._anchors.get(u)
+        if got is None:
+            got = self._anchors[u] = tuple(self._column(label, x) for label, x in u)
+        self._last_anchor = u, got
         return got
 
     def vector(self, entries) -> SparseVector:
@@ -556,17 +567,30 @@ def _anchor_scalar(spec: SpaceSpec, u: SparseVector, a, b):
     """The scalar g with a.u + b.u = g.u for the nonzero u, or None.  One
     pass over the sorted support solves g on the first label and checks it
     on every label.  A finite base works in the sigma-image, through the
-    spec's columns: one base addition per label.  The reals and complexes
-    form w_i = rho_i(a) u_i (+)_sigma_i rho_i(b) u_i."""
+    anchor's columns, built on the first call: label i asks for
+    a (+)_(c_i) b, one Zech step in its (L, E); a zero scalar gives the
+    other, as every column fixes 0.  The step takes no mod: its zech index
+    lies in (-m, m), where a negative index wraps modulo the m entries, and
+    its E index in [0, 2m).  The reals and complexes form
+    w_i = rho_i(a) u_i (+)_sigma_i rho_i(b) u_i."""
     base = spec.base
     gamma = None
     if base.is_finite:
-        for label, x in u:
-            col, back = spec._column(label, x)
-            w = base.add(col[a], col[b])
+        last, columns = spec._last_anchor
+        if last is not u:
+            columns = spec._anchor(u)
+        if not a:
+            return b
+        if not b:
+            return a
+        zech = base.zech
+        for L, E in columns:
+            la = L[a]
+            z = zech[L[b] - la]
+            w = base.zero if z < 0 else E[la + z]
             if gamma is None:
-                gamma = back[w]
-            elif col[gamma] != w:
+                gamma = w
+            elif w != gamma:
                 return None
         return gamma
     for label, x in u:
@@ -610,9 +634,10 @@ def anchored_add(spec: SpaceSpec, u: SparseVector, a, b):
     g is solved on the smallest support label and verified on every label;
     an inconsistency means u is not a valid anchor and raises.
     """
-    if u.is_zero():
+    if not u:
         raise InvalidAnchorError("anchor vector is zero")
-    a, b = spec.base.check(a), spec.base.check(b)
+    base = spec.base
+    a, b = base.check(a), base.check(b)
     gamma = _anchor_scalar(spec, u, a, b)
     if gamma is None:
         raise InvalidAnchorError(

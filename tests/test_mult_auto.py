@@ -1,8 +1,10 @@
 """Automorphism application, composition, inversion, enumeration."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -30,6 +32,7 @@ from nearvec.nearfield import (
     induced_add,
     is_nearfield_automorphism,
 )
+from nearvec.nvspace import SpaceSpec, anchored_add, in_quasi_kernel
 from nearvec.serialize import auto_from_json
 
 
@@ -232,6 +235,44 @@ def test_inverse_roundtrip(gf8, d9_autos, d9):
         for z in COMPLEXES.sample_points():
             assert COMPLEXES.eq(inv.apply(auto.apply(z)), z)
             assert COMPLEXES.eq(auto.apply(inv.apply(z)), z)
+
+
+def _spaces_to_drop(d9):
+    """Makers of a one-label space over GF(7), Dickson9 and the reals,
+    each twisted by a map of one family and a table or power of another."""
+    gf7 = GaloisField(7, 1)
+    gamma = d9.nonzero_elements()[2]
+    return [
+        lambda: SpaceSpec(gf7, {"1": FinitePower(gf7, 5)}, {"1": as_perm(FinitePower(gf7, 5))}),
+        lambda: SpaceSpec(d9, {"1": InnerAuto(d9, gamma)}, {"1": as_perm(InnerAuto(d9, gamma))}),
+        lambda: SpaceSpec(REALS, {"1": RealPower(REALS, 3.0)}, {"1": RealPower(REALS, 0.5)}),
+    ]
+
+
+def test_inverted_maps_are_freed_by_reference_counting(d9):
+    # a map keeps its inverse and the inverse a copy of the map, with no
+    # link back, so a dropped space frees every map it inverted, with its
+    # tables, and the cyclic collector is not needed
+    gc.disable()
+    try:
+        for make in _spaces_to_drop(d9):
+            spec = make()
+            u = spec.basis_vector("1")
+            one = spec.base.one
+            assert in_quasi_kernel(spec, u) == (True, None)
+            assert spec.vectors_equal(spec.add(u, u), spec.scale(anchored_add(spec, u, one, one), u))
+            refs = []
+            for auto in (spec.sigma["1"], spec.rho["1"], spec.theta("1")):
+                inv = auto.inverse()
+                assert auto.inverse() is inv and inv.inverse() == auto
+                assert inv.inverse().inverse() == inv
+                if spec.base.is_finite:
+                    assert auto.zech_form and inv.zech_form and inv.codes
+                refs += [weakref.ref(auto), weakref.ref(inv), weakref.ref(inv.inverse())]
+            del spec, u, auto, inv
+            assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_comp_auto_normalization(gf5):

@@ -64,6 +64,22 @@ def test_check_rejects_foreign_scalars(gf5):
     assert COMPLEXES.check(2) == 2 + 0j
 
 
+@pytest.mark.parametrize("maker", [lambda: GaloisField(7, 1), Dickson9], ids=["gf7", "d9"])
+def test_check_refuses_codes_outside_the_field(maker):
+    # the field's own element class, and another field's of the same p and
+    # n, can hold any int; only the codes 0..q-1 are elements
+    base = maker()
+    twin = GaloisField(base.p, base.n)
+    q = base.order()
+    for cls in (type(base.one), type(twin.one)):
+        for code in (-1, -q, q, q + 1):
+            with pytest.raises(BaseMismatchError, match="is not an element of"):
+                base.check(cls(code))
+        for code in (0, q - 1):
+            got = base.check(cls(code))
+            assert got == code and type(got) is type(base.one)
+
+
 @pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (7, 1), (3, 2)])
 def test_scalar_group_axioms_fields(p, n):
     report = scalar_group_axiom_check(GaloisField(p, n))

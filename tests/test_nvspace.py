@@ -11,8 +11,17 @@ from nearvec.errors import (
     NearVecError,
     UnsupportedBaseError,
 )
-from nearvec.mult_auto import InnerAuto, MultAuto, compose, enumerate_mult_autos, identity_auto
-from nearvec.nearfield import REALS, Dickson9, GaloisField
+from nearvec.mult_auto import (
+    FinitePower,
+    InnerAuto,
+    MultAuto,
+    PermAuto,
+    as_perm,
+    compose,
+    enumerate_mult_autos,
+    identity_auto,
+)
+from nearvec.nearfield import REALS, Dickson9, GaloisField, induced_add
 from nearvec.nvspace import (
     Partition,
     SparseVector,
@@ -499,12 +508,85 @@ class _Square(MultAuto):
 
 
 def test_anchored_scalar_refuses_a_non_bijective_twist():
-    # the columns solve g through an inverse permutation, which x^2 on
-    # GF(5) does not have
+    # the columns solve g through the preimage of each power of the
+    # generator, which x^2 on GF(5) does not give
     gf5 = GaloisField(5, 1)
     spec = SpaceSpec(gf5, {"1": identity_auto(gf5)}, {"1": _Square(gf5)})
     with pytest.raises(NearVecError, match="not bijections"):
         in_quasi_kernel(spec, spec.basis_vector("1"))
+
+
+class _CountingGF9(GaloisField):
+    """GF(9) that counts the calls of its addition and product."""
+
+    def __init__(self):
+        super().__init__(3, 2)
+        self.calls = 0
+
+    def add(self, x, y):
+        self.calls += 1
+        return super().add(x, y)
+
+    def mul(self, x, y):
+        self.calls += 1
+        return super().mul(x, y)
+
+
+@pytest.fixture
+def map_calls(monkeypatch):
+    """The number of ``apply`` and ``inverse`` calls of every finite family
+    since the test started, as a one-entry list."""
+    calls = [0]
+
+    def counted(method):
+        def wrapper(*args):
+            calls[0] += 1
+            return method(*args)
+
+        return wrapper
+
+    for cls in (FinitePower, PermAuto, InnerAuto):
+        monkeypatch.setattr(cls, "apply", counted(cls.apply))
+    monkeypatch.setattr(MultAuto, "inverse", counted(MultAuto.inverse))
+    return calls
+
+
+def test_finite_scalar_pairs_call_no_map_and_no_base_operation(map_calls):
+    # once a column or a map's Zech form exists, each of the q^2 pairs is
+    # table reads alone
+    base = _CountingGF9()
+    els = base.elements()
+    power, table = FinitePower(base, 3), as_perm(FinitePower(base, 5))
+    # theta exponents 3 * 3 = 1 and 5 * 7 = 3 mod 8 share the orbit {1, 3}
+    spec = SpaceSpec(base, {"1": power, "2": table}, {"1": power, "2": FinitePower(base, 7)})
+    u = spec.vector({"1": base.one, "2": base.from_int(4)})
+    anchors = [u, spec.scale(base.from_int(5), u)]
+    assert all(in_quasi_kernel(spec, v) == (True, None) for v in anchors)
+    for v in anchors:
+        anchored_add(spec, v, base.one, base.one)
+    for sigma in (power, table):
+        induced_add(base, sigma, base.one, base.one)
+    before = base.calls, map_calls[0]
+    for a in els:
+        for b in els:
+            for v in anchors:
+                anchored_add(spec, v, a, b)
+            for sigma in (power, table):
+                induced_add(base, sigma, a, b)
+    assert (base.calls, map_calls[0]) == before
+
+
+def test_power_map_induced_addition_builds_no_table():
+    # a power map's Zech step reads the field's own tables, even over
+    # GF(2^16), whose q-entry codes it never asks for
+    base = GaloisField(2, 16)
+    f = FinitePower(base, 7)
+    x, y = base.from_int(1234), base.from_int(54321)
+    s = induced_add(base, f, x, y)
+    assert f.apply(s) == base.add(f.apply(x), f.apply(y))
+    L, E, alpha, beta = f.zech_form
+    assert L is base.log and E is base.antilog and alpha * beta % 65535 == 1
+    assert vars(f).get("_codes") is None
 
 
 def _axiom_reference(spec):

@@ -4,8 +4,10 @@ compatibility of the members agrees with the brute-force regularity test
 and is invariant under scaling either vector, the materialized closed
 form equals the brute-force quasi-kernel over the Galois fields, every
 multiplicativity certificate reproduces the anchored addition it
-certifies, membership and the anchored addition equal their vector-built
-reference and the definition searched over every scalar, the generation
+certifies, the finite induced addition equals sigma^-1(sigma(x) +
+sigma(y)) formed through apply and the base addition, membership and the
+anchored addition equal their vector-built reference and the definition
+searched over every scalar, the generation
 closure equals a full-round closure, composition, inversion and the JSON
 forms of automorphisms obey their laws, spaces and vectors survive their
 JSON forms, the decomposition and the qk classes follow label
@@ -68,14 +70,31 @@ PROPERTY_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True, da
 SWEEP_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 COMPOSE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
+
+
+class _UnnamedGF8(GaloisField):
+    """GF(8) under a kind no shortcut recognizes: no power maps, so its
+    automorphisms are the enumeration's tables, and every test that reads
+    a Galois field's exponents takes the general path instead."""
+
+    kind = "gf-unnamed"
+
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def __repr__(self):
+        return "UnnamedGF8()"
+
+
 FIELDS = {(p, n): GaloisField(p, n) for p, n in ((2, 2), (7, 1), (2, 3), (3, 2))}
 D9 = Dickson9()
+UNNAMED = _UnnamedGF8()
 LISTED = {base: enumerate_mult_autos(base) for base in (FIELDS[2, 3], FIELDS[3, 2], D9)}
 GF4_AUTOS = enumerate_mult_autos(FIELDS[2, 2])
 # power maps of the small fields; GF(8), GF(9) and Dickson9 draw every
 # form of ``finite_auto``
 SWEEP_AUTOS = {base: enumerate_mult_autos(base) for base in (FIELDS[2, 2], GaloisField(5, 1), FIELDS[7, 1])}
-ALL_AUTOS = {**SWEEP_AUTOS, **LISTED}
+ALL_AUTOS = {**SWEEP_AUTOS, **LISTED, UNNAMED: enumerate_mult_autos(UNNAMED)}
 GALOIS_FIELDS = [base for base in ALL_AUTOS if base.kind == "gf"]
 JSON_BASES = (FIELDS[2, 2], FIELDS[3, 2], D9, REALS, COMPLEXES)
 # dyadic exponent parts, so products and inverses of the real and complex
@@ -383,9 +402,37 @@ def test_anchored_scalar_matches_vector_reference(case):
     assert in_quasi_kernel(spec, v) == expected
 
 
+# -- the finite induced addition against its slow twin ------------------------
+
+
+def derived_maps(base):
+    """The enumerated automorphisms of a finite base, their inverses and
+    tables, the inverses of the tables, their products with the last map
+    and with its table, and every inner twist."""
+    autos = ALL_AUTOS[base]
+    last = as_perm(autos[-1])
+    maps = []
+    for a in autos:
+        table = as_perm(a)
+        maps += [a, a.inverse(), table, table.inverse(), compose(a, autos[-1]), compose(table, last)]
+    return maps + [InnerAuto(base, g) for g in base.nonzero_elements()]
+
+
+@pytest.mark.parametrize("base", list(ALL_AUTOS), ids=repr)
+def test_induced_add_is_its_slow_twin(base):
+    # every Zech step against sigma^-1(sigma(x) + sigma(y)) through apply and
+    # the base addition, on all q^2 pairs
+    els = base.elements()
+    for s in derived_maps(base):
+        for x in els:
+            for y in els:
+                twin = s.inverse().apply(base.add(s.apply(x), s.apply(y)))
+                assert induced_add(base, s, x, y) == twin, (s, x, y)
+
+
 # -- the anchored scalar and the generation closure by definition -------------
 
-# GF(4), GF(5), GF(7), GF(8) and Dickson9
+# GF(4), GF(5), GF(7), GF(8), Dickson9 and the unnamed GF(8)
 ANCHOR_BASES = [base for base in ALL_AUTOS if base != FIELDS[3, 2]]
 
 

@@ -202,3 +202,33 @@ def test_finite_maps_are_tabulated_by_codes():
         sites.update((path.stem, name) for name in visitor.sites)
     # every other sweep over a finite map reads its codes
     assert sorted(sites) == sorted([CODES, *APPLY_AS_VALUE])
+
+
+# the state of the finite Zech kernel: the per-map arrays, the anchored
+# columns and the field table they step through, and the kernel itself
+ZECH_KERNEL = {
+    "zech",
+    "zech_form",
+    "_zech_form",
+    "zech_tables",
+    "_column",
+    "_columns",
+    "_anchor",
+    "_anchors",
+    "_anchor_scalar",
+    "anchored_add",
+    "induced_add",
+}
+# the oracles the kernel is checked against, with the builder they share
+ORACLES = (("nvspace", "_base_tables"), ("nvspace", "_FiniteTables"), ("canonical", "is_multiplicative"))
+
+
+def test_oracles_read_no_zech_kernel_state():
+    # the sweep tables and the certificates come from base.add, base.mul and
+    # codes alone, so the certificate recheck compares two independent paths
+    for module, name in ORACLES:
+        tree = _tree(PACKAGE / f"{module}.py")
+        (node,) = [n for n in tree.body if getattr(n, "name", None) == name]
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert sorted(read & ZECH_KERNEL) == [], (module, name)
