@@ -41,6 +41,7 @@ import cmath
 import itertools
 import math
 import random
+import weakref
 
 from .errors import BaseMismatchError, NearVecError, UnsupportedBaseError, charge
 from .nearfield import DEFAULT_BRUTE_BOUND, BaseStructure, is_nearfield_automorphism
@@ -52,11 +53,13 @@ class MultAuto:
     identity test, and equality, hashing and repr from the family's
     parameters."""
 
-    # set on a map built by ``inverse``: a copy of the map it inverts, its
-    # record for ``_named`` and its own inverse.  The map keeps its inverse
-    # and the copy keeps no link back, so reference counting frees the pair
+    # set on a map built by ``inverse``: a weak reference to the map it
+    # inverts, and a copy of that map taken then, its record for ``_named``
+    # and its stand-in once the map is gone.  The map keeps its inverse and
+    # the inverse keeps no strong link back, so reference counting frees them
+    _origin = None
     _inverts = None
-    _inv = None  # the map ``inverse`` built
+    _inv = None  # the map ``inverse`` built, or the copy it took up
     _factors = None  # (outer, inner) of a merged power map, for ``_named``
     _codes = None  # set by ``codes``: a cached_property's __dict__ write slows reads
     _zech_form = None  # set by ``zech_form``, like ``_codes``; read first by ``induced_add``
@@ -88,13 +91,18 @@ class MultAuto:
         return self._zech_form
 
     def inverse(self):
-        if self._inverts is not None:
-            return self._inverts
         if self._inv is None:
-            inv = self._inverse()
-            # the copy is taken before ``_inv`` is set, so it has none
-            inv._inverts = object.__new__(type(self))
-            inv._inverts.__dict__.update(self.__dict__)
+            origin = self._origin and self._origin()
+            if origin is not None:
+                return origin
+            if self._inverts is not None:
+                # the inverted map is gone: its copy, with its tables and record
+                inv = self._inverts
+            else:
+                inv = self._inverse()
+                inv._inverts = object.__new__(type(self))
+                inv._inverts.__dict__.update(self.__dict__)
+            inv._origin = weakref.ref(self)
             self._inv = inv
         return self._inv
 
@@ -322,6 +330,9 @@ class InnerAuto(MultAuto):
         super().__init__(base)
         self.gamma = gamma
         self._gamma_inv = base.inv(gamma)
+        if base.commutative and base.is_finite:
+            # the identity: the field's own tables, as for x^1
+            self._zech_form = base.log, base.antilog, 1, 1
 
     def apply(self, x):
         b = self.base

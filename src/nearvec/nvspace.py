@@ -24,7 +24,7 @@ pair builds no vector, because ``_anchor_scalar`` forms a.u + b.u
 coordinate by coordinate.  Over a finite base it works in the
 sigma-image: the spec keeps, per (label, value) x, the ``zech_tables`` of
 the column c(a) = sigma(rho(a) x), built once from both twists and the
-base product, and per anchor the tuple of its columns.  a.x (+)_sigma b.x
+base product, and the last anchor's tuple of columns.  a.x (+)_sigma b.x
 = g.x exactly when g = c^-1(c(a) + c(b)), so a pair then costs one Zech
 step per support label and no call of a map or of the base.
 
@@ -184,7 +184,6 @@ class SpaceSpec:
         self._theta = {}
         self._tables = None
         self._columns = {}
-        self._anchors = {}
         self._last_anchor = None, ()
 
     @property
@@ -214,12 +213,10 @@ class SpaceSpec:
 
     def _anchor(self, u):
         """The columns of the nonzero u over a finite base, one per support
-        label in label order, kept per anchor.  The last anchor asked for is
-        also kept with its columns, so the q^2 pairs of one vector find
-        them by identity, without hashing the vector."""
-        got = self._anchors.get(u)
-        if got is None:
-            got = self._anchors[u] = tuple(self._column(label, x) for label, x in u)
+        label in label order.  The last anchor asked for is kept with its
+        columns, so the q^2 pairs of one vector find them by identity,
+        without hashing the vector."""
+        got = tuple(self._column(label, x) for label, x in u)
         self._last_anchor = u, got
         return got
 

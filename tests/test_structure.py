@@ -214,7 +214,7 @@ ZECH_KERNEL = {
     "_column",
     "_columns",
     "_anchor",
-    "_anchors",
+    "_last_anchor",
     "_anchor_scalar",
     "anchored_add",
     "induced_add",
