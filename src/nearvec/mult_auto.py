@@ -54,9 +54,10 @@ class MultAuto:
     parameters."""
 
     # set on a map built by ``inverse``: a weak reference to the map it
-    # inverts, and a copy of that map taken then, its record for ``_named``
-    # and its stand-in once the map is gone.  The map keeps its inverse and
-    # the inverse keeps no strong link back, so reference counting frees them
+    # inverts, and a ``_copy`` of that map taken then with its tables, its
+    # record for ``_named`` and its stand-in once the map is gone.  The map
+    # keeps its inverse and the inverse keeps no strong link back, so
+    # reference counting frees them
     _origin = None
     _inverts = None
     _inv = None  # the map ``inverse`` built, or the copy it took up
@@ -100,11 +101,18 @@ class MultAuto:
                 inv = self._inverts
             else:
                 inv = self._inverse()
-                inv._inverts = object.__new__(type(self))
-                inv._inverts.__dict__.update(self.__dict__)
+                rec = inv._inverts = self._copy()
+                rec._factors, rec._codes, rec._zech_form = self._factors, self._codes, self._zech_form
             inv._origin = weakref.ref(self)
             self._inv = inv
         return self._inv
+
+    def _copy(self):
+        """An equal map built from the parameters.  Copying ``__dict__``
+        instead would turn the map's attribute store into a plain dict and
+        slow every later attribute read of it (``apply`` of a GF(49) power
+        map by about 40 % on CPython 3.11)."""
+        return type(self)(self.base, *self._params())
 
     def is_identity(self):
         raise NotImplementedError
@@ -307,6 +315,9 @@ class PermAuto(MultAuto):
     def _inverse(self):
         # the elements sorted by their images are the preimages in code order
         return _derived_perm(self.base, sorted(self.base.elements(), key=self._codes.__getitem__))
+
+    def _copy(self):
+        return _derived_perm(self.base, self._codes)
 
     def is_identity(self):
         return self._codes == self.base.elements()

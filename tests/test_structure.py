@@ -232,3 +232,17 @@ def test_oracles_read_no_zech_kernel_state():
         read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
         assert sorted(read & ZECH_KERNEL) == [], (module, name)
+
+
+def test_no_instance_dict_is_read():
+    # on CPython 3.11 reading an object's __dict__ (or calling vars on it)
+    # turns its attribute store into a plain dict, and every later attribute
+    # read of that object is slower; the maps are read on every scalar pair
+    sites = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                sites.append((path.stem, node.lineno))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars":
+                sites.append((path.stem, node.lineno))
+    assert sites == []
